@@ -257,6 +257,11 @@ constexpr const char* family_name(ScheduleFamily f) {
   return "unknown";
 }
 
+// The block partition every product runs: Strassen-Winograd's <2,2,2>
+// quadrant split, the only one the library ships.  layout::choose_algo
+// returns it and reports stamp its name ("222").
+enum class AlgoFamily : std::uint8_t { k222 };
+
 namespace detail {
 
 using Op = Operand;

@@ -55,7 +55,6 @@ struct ClassKeyHash {
 tune::PlanKey make_plan_key(const ClassKey& c, const BatchedOptions& opt,
                             analysis::ScheduleFamily schedule,
                             layout::ExecStrategy strategy,
-                            analysis::AlgoFamily algo,
                             const layout::TileOptions& tiles) {
   tune::PlanKey key;
   key.m = c.m;
@@ -65,7 +64,6 @@ tune::PlanKey make_plan_key(const ClassKey& c, const BatchedOptions& opt,
   key.opb = c.opb;
   key.schedule = static_cast<std::uint8_t>(schedule);
   key.strategy = static_cast<std::uint8_t>(strategy);
-  key.algo = static_cast<std::uint8_t>(algo);
   key.elem_size = sizeof(double);
   key.max_workspace_bytes = opt.max_workspace_bytes;
   key.min_tile = tiles.min_tile;
@@ -178,15 +176,10 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
   ModgemmOptions resolve_probe;
   resolve_probe.schedule = opt.schedule;
   resolve_probe.strategy = opt.strategy;
-  resolve_probe.algo = opt.algo;
   const analysis::ScheduleFamily resolved_schedule =
       detail::resolve_schedule_family(resolve_probe);
   const layout::ExecStrategy resolved_strategy =
       detail::resolve_exec_strategy(resolve_probe);
-  // Pin, then STRASSEN_ALGO; kAuto survives to per-class resolution below
-  // (the choose_algo heuristic is shape-dependent, unlike schedule/strategy).
-  const analysis::AlgoFamily resolved_algo =
-      detail::resolve_algo_family(resolve_probe);
 
   // ---- plan once per equivalence class -------------------------------------
   std::vector<PlanClass> classes;
@@ -208,18 +201,9 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
         cls.k = it.k;
         cls.opa = it.opa;
         cls.opb = it.opb;
-        // Per-class algorithm family: the batch-level pin/env when decided,
-        // otherwise the planner heuristic on this class's shape.  Part of
-        // the plan key -- a <3,3,3> plan must never serve a <2,2,2> lookup.
-        const analysis::AlgoFamily cls_algo =
-            resolved_algo != analysis::AlgoFamily::kAuto
-                ? resolved_algo
-                : (ck.m >= 1 && ck.k >= 1 && ck.n >= 1
-                       ? layout::choose_algo(ck.m, ck.k, ck.n, tiles)
-                       : analysis::AlgoFamily::k222);
         const tune::PlanKey pkey =
             make_plan_key(ck, opt, resolved_schedule, resolved_strategy,
-                          cls_algo, tiles);
+                          tiles);
         const tune::CachedPlan* cached =
             opt.use_plan_cache ? tune::global_plan_cache().lookup(pkey)
                                : nullptr;
@@ -254,9 +238,6 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
           } else {
             cls.plan = planned;  // infeasible: the item runs the split path
           }
-          // Stamped after budget/strategy resolution so it survives both
-          // branches; cache hits replay it from the stored plan.
-          cls.plan.algo = cls_algo;
           ++cache_misses;
           if (opt.use_plan_cache)
             tune::global_plan_cache().insert(
@@ -306,18 +287,12 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
   const auto run_item = [&](const BatchItem& it, const PlanClass& cls,
                             obs::GemmReport* local) {
     if (it.m == 0 || it.n == 0 || it.alpha == 0.0 || it.k == 0 ||
-        !cls.plan.feasible ||
-        cls.plan.algo != analysis::AlgoFamily::k222) {
-      // Degenerate scaling cases, split shapes and non-<2,2,2> classes run
-      // the full serial driver: its CallScope nests under this call's
-      // collector, so kernel counters flow to the batch while phases land in
-      // `local`.  The class's resolved family rides along as a pin, so a
-      // family class stages its one table level (and recurses <2,2,2>
-      // below) without re-reading STRASSEN_ALGO per item.
-      ModgemmOptions item_opt = serial;
-      item_opt.algo = cls.plan.algo;
+        !cls.plan.feasible) {
+      // Degenerate scaling cases and split shapes run the full serial
+      // driver: its CallScope nests under this call's collector, so kernel
+      // counters flow to the batch while phases land in `local`.
       core::modgemm(it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A, it.lda,
-                    it.B, it.ldb, it.beta, it.C, it.ldc, item_opt, local);
+                    it.B, it.ldb, it.beta, it.C, it.ldc, serial, local);
       return;
     }
     if (local) local->plan = cls.plan;
@@ -428,7 +403,6 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     popt.tiles = tiles;
     popt.min_task_flops = opt.min_task_flops;
     popt.schedule = opt.schedule;
-    popt.algo = cls.plan.algo;  // class-resolved pin, like the serial path
     popt.report = locals.empty() ? nullptr
                                  : &locals[static_cast<std::size_t>(i)];
     parallel::pmodgemm(pool, it.opa, it.opb, it.m, it.n, it.k, it.alpha,

@@ -70,10 +70,6 @@ struct BatchedOptions {
   // ModgemmOptions).
   analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
-  // <m,k,n> algorithm-family pin, resolved once per batch against
-  // STRASSEN_ALGO and then per class by the planner heuristic
-  // (layout::choose_algo) -- same precedence as ModgemmOptions::algo.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
   // A product whose padded volume (m_pad * k_pad * n_pad) is at least this
   // runs as a deep-spawning parallel::pmodgemm call of its own instead of a
   // single task (same default as ParallelOptions::min_task_flops).

@@ -55,28 +55,6 @@ layout::ExecStrategy env_exec_strategy() {
   return parse_exec_strategy(env);
 }
 
-analysis::AlgoFamily parse_algo_family(const char* value) {
-  using analysis::AlgoFamily;
-  STRASSEN_REQUIRE(value != nullptr, "STRASSEN_ALGO: null value");
-  if (std::strcmp(value, "auto") == 0) return AlgoFamily::kAuto;
-  if (std::strcmp(value, "222") == 0) return AlgoFamily::k222;
-  if (std::strcmp(value, "323") == 0) return AlgoFamily::k323;
-  if (std::strcmp(value, "234") == 0) return AlgoFamily::k234;
-  if (std::strcmp(value, "333") == 0) return AlgoFamily::k333;
-  STRASSEN_REQUIRE(false, "STRASSEN_ALGO: unknown algorithm family \""
-                              << value
-                              << "\" (expected auto, 222, 323, 234 or 333)");
-  return AlgoFamily::kAuto;  // unreachable
-}
-
-analysis::AlgoFamily env_algo_family() {
-  // Same discipline as STRASSEN_SCHEDULE: re-read per call, loud rejection
-  // of malformed values before any write to C.
-  const char* env = std::getenv("STRASSEN_ALGO");
-  if (env == nullptr || *env == '\0') return analysis::AlgoFamily::kAuto;
-  return parse_algo_family(env);
-}
-
 }  // namespace detail
 
 // The production wrappers open an obs::CallScope: it resolves the report

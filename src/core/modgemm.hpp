@@ -37,7 +37,6 @@
 #include "common/memmodel.hpp"
 #include "common/status.hpp"
 #include "common/timer.hpp"
-#include "core/family.hpp"
 #include "core/packfused.hpp"
 #include "core/winograd.hpp"
 #include "core/workspace.hpp"
@@ -96,20 +95,6 @@ struct ModgemmOptions {
   // strategies are bit-identical for all alpha/beta; non-Strassen (direct)
   // products and traced/non-RawMem instantiations always execute kMorton.
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
-  // <m,k,n> algorithm-family pin for this call (analysis/algo_family.hpp).
-  // kAuto (the default) defers to the STRASSEN_ALGO environment override and
-  // then to the planner heuristic (layout::choose_algo), which keeps every
-  // square / deep problem on the seed-exact <2,2,2> path and switches to a
-  // shape-matched table (<3,2,3>, <2,3,4>, <3,3,3>) only on a clear modeled
-  // win.  Pinning k222 disables the families outright; pinning any other
-  // value runs one level of that coefficient table unconditionally, with
-  // every sub-product recursing through the plain <2,2,2> driver.  A pinned
-  // family that cannot run (its ceil-partitioned sub-products would sit at
-  // or below the direct threshold, its staging exceeds max_workspace_bytes,
-  // or its up-front allocation fails) degrades to <2,2,2>, recorded as
-  // FallbackReason::kAlgoFallback.  The fixed_tile ablation studies <2,2,2>
-  // padding and never runs a family.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
   // Per-call observability: when non-null, the call fills *report with phase
   // timers, plan/padding data, workspace accounting, kernel telemetry and
   // (for pmodgemm) parallel stats -- see obs/report.hpp.  Null (the default)
@@ -163,14 +148,6 @@ inline std::size_t modgemm_workspace_bytes(const layout::GemmPlan& plan,
                                               elem_size, plan.schedule));
 }
 
-// Forward declaration (defined below): the family engine's sub-products
-// recurse through the full driver with the algorithm pinned to <2,2,2>.
-template <class MM, class T>
-void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
-                const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                int ldc, const ModgemmOptions& opt = {},
-                ModgemmReport* report = nullptr);
-
 namespace detail {
 
 // Parses a STRASSEN_SCHEDULE value ("auto", "winograd", "winograd-lowmem",
@@ -208,25 +185,6 @@ layout::ExecStrategy env_exec_strategy();
 inline layout::ExecStrategy resolve_exec_strategy(const ModgemmOptions& opt) {
   if (opt.strategy != layout::ExecStrategy::kAuto) return opt.strategy;
   return env_exec_strategy();
-}
-
-// Parses a STRASSEN_ALGO value ("auto", "222", "323", "234", "333"); throws
-// via STRASSEN_REQUIRE naming the offending value on anything else.
-// Implemented in modgemm.cpp.
-analysis::AlgoFamily parse_algo_family(const char* value);
-
-// The STRASSEN_ALGO environment override, re-read per call (same grammar
-// discipline as STRASSEN_SCHEDULE).  Unset or "auto" -> kAuto; malformed
-// values throw.
-analysis::AlgoFamily env_algo_family();
-
-// The <m,k,n> family this call resolved from its pin and environment (the
-// per-call pin wins, so the family engine's own <2,2,2>-pinned sub-products
-// hold even under a forced STRASSEN_ALGO).  kAuto defers the final choice to
-// layout::choose_algo.
-inline analysis::AlgoFamily resolve_algo_family(const ModgemmOptions& opt) {
-  if (opt.algo != analysis::AlgoFamily::kAuto) return opt.algo;
-  return env_algo_family();
 }
 
 // The strategy one PLANNED product executes: non-Strassen plans always run
@@ -650,91 +608,6 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   }
 }
 
-// One level of a non-<2,2,2> coefficient table (core/family.hpp), with every
-// sub-product recursing through modgemm_mm pinned to <2,2,2> -- so each of
-// the rank products gets the planner, the workspace ladder, the strategy
-// heuristic and the SIMD kernels exactly as a top-level call would.  Returns
-// false -- with C untouched and FallbackReason::kAlgoFallback recorded --
-// when the family cannot run: its staging buffers alone would reach
-// max_workspace_bytes, or their up-front allocation fails.  The caller then
-// continues on the plain <2,2,2> path.
-template <class MM, class T>
-bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
-                    const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                    int ldc, analysis::AlgoFamily algo,
-                    const ModgemmOptions& opt, ModgemmReport* report) {
-  const analysis::FamilyTable& t = analysis::family_table(algo);
-  const std::size_t staging = family_workspace_bytes(t, m, k, n, sizeof(T));
-  if (opt.max_workspace_bytes != 0 && staging >= opt.max_workspace_bytes) {
-    record_fallback(report, FallbackReason::kAlgoFallback);
-    return false;
-  }
-  const int pm = family_partition(m, t.bm);
-  const int pk = family_partition(k, t.bk);
-  const int pn = family_partition(n, t.bn);
-  ModgemmOptions sub_opt = opt;
-  // One level only: sub-products run the plain <2,2,2> driver (the pin wins
-  // over STRASSEN_ALGO, so a forced environment cannot recurse the family),
-  // inside whatever budget the staging buffers left.
-  sub_opt.algo = analysis::AlgoFamily::k222;
-  sub_opt.report = nullptr;
-  if (opt.max_workspace_bytes != 0)
-    sub_opt.max_workspace_bytes = opt.max_workspace_bytes - staging;
-  // Sub-products report into a scratch struct so their executed
-  // schedule/strategy and any degradation surface in the caller's report
-  // without double-counting this call's wall clock (WallStamp accumulates).
-  obs::GemmReport subrep;
-  obs::GemmReport* subrep_ptr = report ? &subrep : nullptr;
-  try {
-    Arena arena(staging);
-    modgemm_family_arena(
-        mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, t, arena,
-        [&](int m2, int n2, int k2, const T* A2, int lda2, const T* B2,
-            int ldb2, T* C2, int ldc2) {
-          modgemm_mm(mm, Op::NoTrans, Op::NoTrans, m2, n2, k2, T{1}, A2, lda2,
-                     B2, ldb2, T{0}, C2, ldc2, sub_opt, subrep_ptr);
-        },
-        report);
-    if (report) {
-      record_fallback(report, subrep.fallback_reason);
-      report->workspace_requested_bytes +=
-          staging + subrep.workspace_requested_bytes;
-      report->workspace_allocations += 1 + subrep.workspace_allocations;
-      // True peak: the staging buffers stay live across every sub-product,
-      // so the call's high-water mark is theirs plus the largest sub-peak.
-      report->workspace_peak_bytes =
-          std::max(report->workspace_peak_bytes,
-                   arena.peak() + subrep.workspace_peak_bytes);
-      report->workspace_saved_bytes += subrep.workspace_saved_bytes;
-      report->conversion_saved_bytes += subrep.conversion_saved_bytes;
-      // The executed plan: one family level over ceil partitions.  The
-      // tile/depth fields of a family plan describe the partition grid, not
-      // a <2,2,2> recursion (layout/plan.hpp documents this).
-      layout::GemmPlan fam;
-      fam.feasible = true;
-      fam.depth = 1;
-      fam.algo = algo;
-      fam.schedule = subrep.plan.schedule;
-      fam.strategy = subrep.plan.strategy;
-      fam.m = layout::DimPlan{m, pm, 1, pm * t.bm};
-      fam.k = layout::DimPlan{k, pk, 1, pk * t.bk};
-      fam.n = layout::DimPlan{n, pn, 1, pn * t.bn};
-      report->plan = fam;
-      report->planned_depth = 1;
-      if (subrep.schedule[0] != '\0') report->schedule = subrep.schedule;
-      if (subrep.strategy[0] != '\0') report->strategy = subrep.strategy;
-      report->algo = analysis::algo_name(algo);
-    }
-    return true;
-  } catch (const std::bad_alloc&) {
-    // The staging arena is fully pushed before any arithmetic and C is
-    // written only by the final merge (core/family.hpp), so C is untouched;
-    // sub-products own their ladders and leave C2 (a temporary) aside.
-    record_fallback(report, FallbackReason::kAlgoFallback);
-    return false;
-  }
-}
-
 }  // namespace detail
 
 // The full MODGEMM entry point, templated on the memory model so complete
@@ -743,7 +616,8 @@ bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
 template <class MM, class T>
 void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                 const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                int ldc, const ModgemmOptions& opt, ModgemmReport* report) {
+                int ldc, const ModgemmOptions& opt = {},
+                ModgemmReport* report = nullptr) {
   require_gemm_args(opa, opb, m, n, k, lda, ldb, ldc);
   // A typo'd STRASSEN_KERNEL fails the call here, loudly, instead of
   // silently dispatching the scalar table (the noexcept registry chain's
@@ -791,42 +665,7 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   if constexpr (std::is_same_v<MM, RawMem>)
     strat = detail::resolve_exec_strategy(opt);
 
-  // Resolve the <m,k,n> algorithm family once per call (pin, then
-  // STRASSEN_ALGO, then the planner heuristic).  A non-<2,2,2> family runs
-  // one level of its coefficient table with every sub-product recursing
-  // through this driver pinned to <2,2,2>; when it cannot run (workspace
-  // budget, allocation failure) the call continues below on the plain path
-  // with FallbackReason::kAlgoFallback recorded.  The fixed-tile ablation
-  // studies <2,2,2> static padding and never runs a family.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::k222;
-  if (opt.fixed_tile == 0) {
-    algo = detail::resolve_algo_family(opt);
-    if (algo == analysis::AlgoFamily::kAuto)
-      algo = layout::choose_algo(m, k, n, opt.tiles);
-  }
-  if (algo != analysis::AlgoFamily::k222) {
-    // Shape gate, applied to pins and STRASSEN_ALGO alike: when the family's
-    // ceil-partitioned sub-products sit at or below the direct threshold
-    // they would all run conventional, so one family level multiplies
-    // staging traffic by `rank` for nothing (the same rule choose_algo
-    // prices in).  Such shapes degrade to the <2,2,2> ladder up front.
-    const analysis::FamilyTable& t = analysis::family_table(algo);
-    if (std::min({family_partition(m, t.bm),
-                  family_partition(k, t.bk),
-                  family_partition(n, t.bn)}) <=
-        opt.tiles.direct_threshold) {
-      detail::record_fallback(report, FallbackReason::kAlgoFallback);
-      algo = analysis::AlgoFamily::k222;
-    }
-  }
-  if (report) report->algo = analysis::algo_name(algo);
-  if (algo != analysis::AlgoFamily::k222) {
-    if (detail::modgemm_family(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb,
-                               beta, C, ldc, algo, opt, report))
-      return;
-    // The family could not run; everything below is the plain <2,2,2> path.
-    if (report) report->algo = analysis::algo_name(analysis::AlgoFamily::k222);
-  }
+  if (report) report->algo = "222";
 
   if (opt.fixed_tile > 0) {
     // Ablation: static padding with a fixed truncation point.  The three

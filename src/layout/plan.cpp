@@ -229,56 +229,4 @@ ExecStrategy choose_exec_strategy(const GemmPlan& plan, int m, int k, int n,
   return ExecStrategy::kMorton;
 }
 
-double modeled_flops(int m, int k, int n, const TileOptions& opt) {
-  const double conventional = 2.0 * m * k * n;
-  const GemmPlan plan = plan_gemm(m, k, n, opt);
-  if (plan.direct || !plan.feasible) return conventional;
-  double cost = 2.0 * plan.m.padded * plan.k.padded * plan.n.padded;
-  for (int d = 0; d < plan.depth; ++d) cost *= 7.0 / 8.0;
-  // Padding can price a "Strassen" plan above the conventional loop it
-  // replaces; the executed ladder would still run it, but as a COST MODEL
-  // for comparing families the conventional floor keeps one bad <2,2,2>
-  // plan from flattering every alternative.
-  return std::min(cost, conventional);
-}
-
-analysis::AlgoFamily choose_algo(int m, int k, int n,
-                                 const TileOptions& opt) {
-  using analysis::AlgoFamily;
-  // Thin problems run direct (or nearly so); one family level on top would
-  // only add staging traffic.
-  if (std::min({m, k, n}) <= 2 * opt.direct_threshold) return AlgoFamily::k222;
-  const double base = modeled_flops(m, k, n, opt);
-  // Staging traffic is memory-bound; weigh each element touched as a few
-  // flop-equivalents so near-ties resolve toward the no-staging baseline.
-  constexpr double kStagingWeight = 4.0;
-  constexpr double kClearWin = 0.95;
-  AlgoFamily best = AlgoFamily::k222;
-  double best_cost = base;
-  const AlgoFamily candidates[] = {AlgoFamily::k323, AlgoFamily::k234,
-                                   AlgoFamily::k333};
-  for (AlgoFamily f : candidates) {
-    const analysis::FamilyTable& t = analysis::family_table(f);
-    const int pm = (m + t.bm - 1) / t.bm;
-    const int pk = (k + t.bk - 1) / t.bk;
-    const int pn = (n + t.bn - 1) / t.bn;
-    // Sub-products below the direct threshold would all run conventional;
-    // the family then multiplies staging overhead by `rank` for nothing.
-    if (std::min({pm, pk, pn}) <= opt.direct_threshold) continue;
-    const double sub = modeled_flops(pm, pk, pn, opt);
-    const double staging =
-        kStagingWeight * t.rank *
-        (static_cast<double>(pm) * pk + static_cast<double>(pk) * pn +
-         2.0 * static_cast<double>(pm) * pn);
-    const double cost = t.rank * sub + staging;
-    // A family must clear the margin against the <2,2,2> baseline AND beat
-    // any family already selected.
-    if (cost < base * kClearWin && cost < best_cost) {
-      best = f;
-      best_cost = cost;
-    }
-  }
-  return best;
-}
-
 }  // namespace strassen::layout

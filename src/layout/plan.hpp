@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/algo_family.hpp"
 #include "analysis/schedule.hpp"
 
 namespace strassen::layout {
@@ -166,13 +165,6 @@ struct GemmPlan {
   // choose_exec_strategy heuristic before dispatch).  Traced/counted memory
   // models and non-Strassen plans always execute kMorton.
   ExecStrategy strategy = ExecStrategy::kMorton;
-  // <m,k,n> family the call's TOP level runs (analysis/algo_family.hpp).
-  // k222 (the default) is the plain Winograd quadrant recursion this plan
-  // describes; any other value means one level of that coefficient table
-  // runs first (core/family.hpp) and this plan's tile/depth fields describe
-  // nothing -- the sub-products plan themselves.  Never kAuto in an executed
-  // plan: core/modgemm.hpp resolves pin -> STRASSEN_ALGO -> choose_algo.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::k222;
   DimPlan m, k, n;
   // Total padded elements across the three operands (planner's objective).
   long long padded_elems() const;
@@ -202,27 +194,9 @@ std::vector<int> feasible_depths(int n, const TileOptions& opt = {});
 ExecStrategy choose_exec_strategy(const GemmPlan& plan, int m, int k, int n,
                                   const TileOptions& opt = {});
 
-// Modeled cost of one product under the <2,2,2> planner, in flops: a direct
-// plan costs the conventional 2mkn, a feasible plan 2 * 7^d * padded-volume
-// / 8^d, and an infeasible (split-path) shape is priced at the conventional
-// cost -- the split runs mostly-direct sub-products and pays per-chunk
-// staging, so crediting it with Strassen savings would bias choose_algo
-// against the family tables on exactly the shapes they exist for.
-double modeled_flops(int m, int k, int n, const TileOptions& opt = {});
-
-// The planner's algorithm-family heuristic, consulted when neither the
-// per-call pin nor STRASSEN_ALGO decides (AlgoFamily::kAuto).  For each
-// shipped table it prices one level of the family -- rank sub-products of
-// the ceil-partitioned shape, each modeled by the <2,2,2> planner -- plus a
-// staging-bandwidth term, and switches away from k222 only on a clear
-// modeled win (>= 5%) with all partitions above the direct threshold.  Deep
-// square problems always price best under k222 (the <3,3,3> per-level ratio
-// 23/27 never clears the margin against 7/8 without a padding advantage),
-// which is what keeps the default path bit-identical to the seed; the
-// families win on shapes <2,2,2> handles badly -- odd sizes that pad
-// heavily at every feasible depth, and rectangles whose aspect matches a
-// table's block grid (384x256x384 partitions exactly under <3,2,3>).
-analysis::AlgoFamily choose_algo(int m, int k, int n,
-                                 const TileOptions& opt = {});
+// The block partition a product runs: always <2,2,2> Strassen-Winograd.
+constexpr analysis::AlgoFamily choose_algo(int /*m*/, int /*k*/, int /*n*/) {
+  return analysis::AlgoFamily::k222;
+}
 
 }  // namespace strassen::layout

@@ -10,8 +10,6 @@ const char* fallback_reason_name(FallbackReason r) {
   switch (r) {
     case FallbackReason::kNone:
       return "none";
-    case FallbackReason::kAlgoFallback:
-      return "algo-fallback";
     case FallbackReason::kScheduleSwap:
       return "schedule-swap";
     case FallbackReason::kDepthReduced:
@@ -66,8 +64,9 @@ void put_string(std::ostream& os, const char* s) {
 // family; v4 added plan.strategy and workspace.conversion_saved_bytes with
 // the pack-fused execution strategy; v5 added the batch section with the
 // batched service core (core/batched.hpp); v6 added plan.algo (and the
-// "algo-fallback" workspace.fallback value) with the <m,k,n> algorithm
-// family engine (analysis/algo_family.hpp).
+// "algo-fallback" workspace.fallback value) with an <m,k,n> algorithm-family
+// engine since retired -- plan.algo is now always "222" and the rung is
+// never emitted.
 void write_json(std::ostream& os, const GemmReport& r) {
   os << "{\"schema\": \"strassen.gemm_report.v6\", ";
 

@@ -46,10 +46,6 @@ namespace strassen::obs {
 // rung taken.  (Moved here from core/modgemm.hpp; core aliases it.)
 enum class FallbackReason {
   kNone = 0,        // planned path ran unmodified
-  kAlgoFallback,    // a non-<2,2,2> family was requested but could not run
-                    // (its sub-products would sit at/below the direct
-                    // threshold, staging exceeded the budget, or its
-                    // up-front allocation failed); <2,2,2> ran instead
   kScheduleSwap,    // workspace budget: planned depth kept, but a
                     // lower-footprint schedule family ran instead of the
                     // default 3-temporary table
@@ -91,9 +87,9 @@ struct GemmReport {
   // (layout::strategy_name: "morton" or "packfused"); "" until a Strassen
   // path runs, serialized as "none" like schedule.
   const char* strategy = "";
-  // <m,k,n> algorithm family the call's top level executed
-  // (analysis::algo_name: "222", "323", "234", "333"); "" until resolution
-  // runs (zero-dim early returns), serialized as "none" like schedule.
+  // Block partition the call ran: "222" (Strassen-Winograd, the only one)
+  // once modgemm / pmodgemm get past their early returns (empty C,
+  // alpha = 0, k = 0); "" otherwise, serialized as "none" like schedule.
   const char* algo = "";
 
   // --- resilience / workspace ----------------------------------------------
@@ -167,11 +163,14 @@ struct GemmReport {
     const double t = total_seconds();
     return t > 0 ? (convert_in_seconds + convert_out_seconds) / t : 0.0;
   }
-  // Fraction of the pool's capacity the call kept busy:
-  // task_busy_seconds / (threads * wall_seconds).  0 when serial.
+  // Fraction of the task-running capacity the call kept busy:
+  // task_busy_seconds / ((threads + 1) * wall_seconds).  The calling thread
+  // runs tasks too (inline and help-first while it joins; per_thread_tasks
+  // slot 0), so it counts next to the pool workers.  0 when serial.
   double pool_utilization() const {
     if (threads <= 0 || wall_seconds <= 0.0) return 0.0;
-    return task_busy_seconds / (static_cast<double>(threads) * wall_seconds);
+    return task_busy_seconds /
+           (static_cast<double>(threads + 1) * wall_seconds);
   }
   // Total pad elements of the (last) executed plan across A, B and C.
   long long pad_elems() const;

@@ -229,9 +229,6 @@ void split_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
   core::ModgemmOptions serial;
   serial.tiles = opt.tiles;
   serial.schedule = opt.schedule;
-  // The family decision was made (or declined) at this call's top level;
-  // serial sub-products stay on the plain <2,2,2> driver.
-  serial.algo = analysis::AlgoFamily::k222;
   const auto run_block = [&](std::size_t index, const layout::Chunk& cm,
                              const layout::Chunk& cn) {
     obs::GemmReport* local = locals.empty() ? nullptr : &locals[index];
@@ -282,66 +279,6 @@ void split_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
       }
   }
   for (const obs::GemmReport& local : locals) merge_sub_report(rep, local);
-}
-
-// One level of a non-<2,2,2> coefficient table (core/family.hpp) on the
-// parallel driver: the O(n^2) staging/scatter traffic runs serially on the
-// caller, and each of the rank block products is a full parallel product
-// over the pool (the whole pool works one product at a time -- products are
-// big by construction, so the fan-out inside each one saturates the
-// workers).  Sub-products pin <2,2,2>.  Returns false -- with C untouched
-// and kAlgoFallback recorded -- when the staging allocation fails.
-bool family_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
-                     double alpha, const double* A, int lda, const double* B,
-                     int ldb, double beta, double* C, int ldc,
-                     analysis::AlgoFamily algo,
-                     analysis::ScheduleFamily family,
-                     const ParallelOptions& opt, obs::GemmReport* rep) {
-  const analysis::FamilyTable& t = analysis::family_table(algo);
-  const std::size_t staging =
-      core::family_workspace_bytes(t, m, k, n, sizeof(double));
-  ParallelOptions sub_opt = opt;
-  sub_opt.algo = analysis::AlgoFamily::k222;  // one level only
-  sub_opt.report = nullptr;
-  try {
-    Arena arena(staging);
-    RawMem mm;
-    core::detail::modgemm_family_arena(
-        mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, t, arena,
-        [&](int m2, int n2, int k2, const double* A2, int lda2,
-            const double* B2, int ldb2, double* C2, int ldc2) {
-          pmodgemm(pool, Op::NoTrans, Op::NoTrans, m2, n2, k2, 1.0, A2, lda2,
-                   B2, ldb2, 0.0, C2, ldc2, sub_opt);
-        },
-        rep);
-    if (rep) {
-      rep->parallel = true;
-      rep->threads = pool != nullptr ? pool->thread_count() : 0;
-      rep->workspace_requested_bytes += staging;
-      ++rep->workspace_allocations;
-      const int pm = core::family_partition(m, t.bm);
-      const int pk = core::family_partition(k, t.bk);
-      const int pn = core::family_partition(n, t.bn);
-      layout::GemmPlan fam;
-      fam.feasible = true;
-      fam.depth = 1;
-      fam.algo = algo;
-      fam.schedule = family;
-      fam.m = layout::DimPlan{m, pm, 1, pm * t.bm};
-      fam.k = layout::DimPlan{k, pk, 1, pk * t.bk};
-      fam.n = layout::DimPlan{n, pn, 1, pn * t.bn};
-      rep->plan = fam;
-      rep->planned_depth = 1;
-      rep->schedule = analysis::family_name(family);
-      rep->algo = analysis::algo_name(algo);
-    }
-    return true;
-  } catch (const std::bad_alloc&) {
-    // The staging arena is pushed before any arithmetic and C is written
-    // only by the final merge, so C is untouched; the plain path takes over.
-    core::detail::record_fallback(rep, core::FallbackReason::kAlgoFallback);
-    return false;
-  }
 }
 
 }  // namespace
@@ -416,37 +353,7 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
     family = analysis::ScheduleFamily::kWinograd;
   if (family == analysis::ScheduleFamily::kInPlace)
     family = analysis::ScheduleFamily::kLowMem;
-  // Resolve the <m,k,n> algorithm family (pin, then STRASSEN_ALGO, then the
-  // planner heuristic -- same layering as the serial driver).  A non-<2,2,2>
-  // family runs one table level with each block product as a full parallel
-  // product; if it cannot run, the plain path below takes over.
-  analysis::AlgoFamily algo =
-      opt.algo != analysis::AlgoFamily::kAuto ? opt.algo
-                                              : core::detail::env_algo_family();
-  if (algo == analysis::AlgoFamily::kAuto)
-    algo = layout::choose_algo(m, k, n, opt.tiles);
-  if (algo != analysis::AlgoFamily::k222) {
-    // Same shape gate as the serial driver: sub-products at or below the
-    // direct threshold would all run conventional, so a family level only
-    // multiplies staging traffic by its rank.
-    const analysis::FamilyTable& t = analysis::family_table(algo);
-    if (std::min({core::family_partition(m, t.bm),
-                  core::family_partition(k, t.bk),
-                  core::family_partition(n, t.bn)}) <=
-        opt.tiles.direct_threshold) {
-      if (rep)
-        core::detail::record_fallback(rep,
-                                      core::FallbackReason::kAlgoFallback);
-      algo = analysis::AlgoFamily::k222;
-    }
-  }
-  if (rep) rep->algo = analysis::algo_name(algo);
-  if (algo != analysis::AlgoFamily::k222) {
-    if (family_parallel(pool, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta,
-                        C, ldc, algo, family, opt, rep))
-      return;
-    if (rep) rep->algo = analysis::algo_name(analysis::AlgoFamily::k222);
-  }
+  if (rep) rep->algo = "222";
   layout::GemmPlan plan = layout::plan_gemm(m, k, n, opt.tiles);
   plan.schedule = family;
   if (rep) rep->planned_depth = plan.depth;
@@ -457,7 +364,6 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
     core::ModgemmOptions serial;
     serial.tiles = opt.tiles;
     serial.schedule = opt.schedule;
-    serial.algo = analysis::AlgoFamily::k222;
     core::modgemm(opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
                   serial, rep);
     return;
@@ -581,7 +487,6 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
     core::ModgemmOptions serial;
     serial.tiles = opt.tiles;
     serial.schedule = opt.schedule;
-    serial.algo = analysis::AlgoFamily::k222;
     core::modgemm(opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
                   serial, rep);
   }

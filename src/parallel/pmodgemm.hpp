@@ -69,13 +69,6 @@ struct ParallelOptions {
   // as kLowMem here -- the parallel recursion never owns throwaway operand
   // copies for a subtree to overwrite.
   analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
-  // <m,k,n> algorithm-family pin (analysis/algo_family.hpp), mirroring
-  // ModgemmOptions::algo: kAuto defers to STRASSEN_ALGO and then the planner
-  // heuristic (layout::choose_algo).  A non-<2,2,2> family stages its
-  // combinations serially on the caller and runs each of the rank block
-  // products as a full parallel product over the pool; sub-products pin
-  // <2,2,2>, so the recursion below is the unchanged parallel engine.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
   // Per-call observability (obs/report.hpp): phase timers, workspace
   // accounting, kernel telemetry plus the parallel section (tasks executed,
   // per-thread distribution, steal count, pool utilization).  Null =

@@ -54,9 +54,6 @@ TraceResult trace_multiply(Impl impl, int m, int n, int k,
   switch (impl) {
     case Impl::Modgemm: {
       core::ModgemmOptions opt;
-      // The trace experiments reproduce the paper's <2,2,2> cache stories;
-      // pin the family so a forced STRASSEN_ALGO run cannot reroute them.
-      opt.algo = analysis::AlgoFamily::k222;
       core::modgemm_mm(mm, Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(),
                        A.ld(), B.data(), B.ld(), 0.0, C.data(), C.ld(), opt);
       break;

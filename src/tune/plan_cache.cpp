@@ -26,7 +26,6 @@ std::uint64_t hash_plan_key(const PlanKey& key) noexcept {
   mix(key.opb);
   mix(key.schedule);
   mix(key.strategy);
-  mix(key.algo);
   mix(key.elem_size);
   mix(key.max_workspace_bytes);
   mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.min_tile)));

@@ -55,7 +55,6 @@ struct PlanKey {
   std::uint8_t opa = 0, opb = 0;      // Op, as ordinal
   std::uint8_t schedule = 0;          // resolved analysis::ScheduleFamily
   std::uint8_t strategy = 0;          // resolved layout::ExecStrategy
-  std::uint8_t algo = 0;              // resolved analysis::AlgoFamily
   std::uint32_t elem_size = 0;
   std::uint64_t max_workspace_bytes = 0;
   // Planner knobs (layout::TileOptions), field by field.

@@ -216,14 +216,8 @@ TEST(Batched, IdenticalProductsPlanOnceAndAmortizeWorkspace) {
   const std::vector<BatchItem> items = items_of(products);
 
   parallel::ThreadPool pool(threads);
-  // Pinned to <2,2,2>: the acceptance counters below describe the pooled
-  // task-per-product path, but a forced STRASSEN_ALGO run would route every
-  // product through the serial family driver, which never touches the pool
-  // arena cache (acquisitions would read 0).  Pin > env.
-  BatchedOptions bopt;
-  bopt.algo = analysis::AlgoFamily::k222;
   obs::GemmReport first;
-  modgemm_batched(&pool, items.data(), batch, bopt, &first);
+  modgemm_batched(&pool, items.data(), batch, {}, &first);
   for (std::size_t i = 0; i < products.size(); ++i)
     EXPECT_EQ(products[i].diff(), 0.0) << "product " << i;
 
@@ -241,7 +235,7 @@ TEST(Batched, IdenticalProductsPlanOnceAndAmortizeWorkspace) {
 
   // A second identical batch hits the plan cache (same process).
   obs::GemmReport second;
-  modgemm_batched(&pool, items.data(), batch, bopt, &second);
+  modgemm_batched(&pool, items.data(), batch, {}, &second);
   EXPECT_EQ(second.batch_classes, 1);
   EXPECT_EQ(second.batch_plan_cache_hits, 1u);
   EXPECT_EQ(second.batch_plan_cache_misses, 0u);

@@ -247,9 +247,6 @@ TEST(WorkspaceBudget, DepthReductionStaysUnderBudgetAndExact) {
   // budget is instead satisfied at FULL depth by a low-memory schedule --
   // that path is covered in test_ladder_invariants.cpp.
   opt.schedule = analysis::ScheduleFamily::kWinograd;
-  // Pin <2,2,2>: the budget arithmetic above prices the <2,2,2> plan, which
-  // a forced STRASSEN_ALGO run would replace with a family level (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &report);
@@ -301,9 +298,6 @@ TEST(WorkspaceBudget, GenerousBudgetChangesNothing) {
   ModgemmOptions opt;
   opt.max_workspace_bytes =
       core::modgemm_workspace_bytes(planned, sizeof(double));
-  // Pin <2,2,2>: the budget equals the <2,2,2> plan's exact footprint, and a
-  // forced STRASSEN_ALGO family would need staging on top (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &report);

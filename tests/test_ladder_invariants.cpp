@@ -110,9 +110,6 @@ TEST(LadderInvariants, BudgetForcesScheduleSwapNotDepthReduction) {
 
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
-  // Pin <2,2,2>: the budget arithmetic above prices <2,2,2> plans, and a
-  // forced STRASSEN_ALGO family would intercept the ladder (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &report);
@@ -161,9 +158,6 @@ TEST(LadderInvariants, EveryRungRespectsItsBudget) {
     SCOPED_TRACE(::testing::Message() << "budget=" << budget);
     ModgemmOptions opt;
     opt.max_workspace_bytes = budget;
-    // Pin <2,2,2>: the rung shapes below describe the <2,2,2> ladder
-    // (pin > a forced STRASSEN_ALGO environment).
-    opt.algo = analysis::AlgoFamily::k222;
     ModgemmReport report;
     core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                   B.data(), n, 0.0, C.data(), n, opt, &report);
@@ -260,8 +254,6 @@ TEST(LadderInvariants, PinnedFamilyDepthReducesWithinThatFamily) {
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
   opt.schedule = ScheduleFamily::kLowMem;
-  // Pin <2,2,2>: same reason as above -- the budget prices <2,2,2> plans.
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &report);

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <tuple>
 
 #include "blas/gemm.hpp"
@@ -186,6 +187,36 @@ TEST(ModgemmSplit, SplitWithAlphaBetaAccumulatesOnce) {
   expect_exact(Op::NoTrans, Op::NoTrans, m, n, k, 3.0, -2.0);
 }
 
+// Rectangular dgemm-convention shapes with transposes and alpha/beta, all
+// decomposed by the splitter into <2,2,2> sub-products (Morton and
+// pack-fused); the TT shape splits n = 2500 into 2 x 1250 at depth 5.
+struct MixShape {
+  Op opa, opb;
+  int m, n, k;
+  double alpha, beta;
+};
+
+// Readable (and deterministic) test names: "TT_700x2500x700_a-1_b0.5".
+void PrintTo(const MixShape& s, std::ostream* os) {
+  *os << op_char(s.opa) << op_char(s.opb) << "_" << s.m << "x" << s.n << "x"
+      << s.k << "_a" << s.alpha << "_b" << s.beta;
+}
+
+class ModgemmMix : public ::testing::TestWithParam<MixShape> {};
+
+TEST_P(ModgemmMix, ExactOnIntegers) {
+  const MixShape s = GetParam();
+  expect_exact(s.opa, s.opb, s.m, s.n, s.k, s.alpha, s.beta);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ModgemmMix,
+    ::testing::Values(
+        MixShape{Op::NoTrans, Op::NoTrans, 200, 765, 593, 1.0, 0.0},
+        MixShape{Op::Trans, Op::NoTrans, 3000, 400, 400, 1.0, 0.0},
+        MixShape{Op::NoTrans, Op::Trans, 1500, 700, 300, 0.5, 1.0},
+        MixShape{Op::Trans, Op::Trans, 700, 2500, 700, -1.0, 0.5}));
+
 TEST(ModgemmEdge, StridedMatricesWork) {
   expect_exact(Op::NoTrans, Op::NoTrans, 150, 140, 160, 1.0, 1.0, {}, 11);
 }
@@ -304,11 +335,10 @@ TEST(ModgemmReportTest, TimingBreakdownIsPopulated) {
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
   ModgemmReport report;
-  // Asserts Morton-only conversion timers; the per-call pins keep the test
-  // meaningful under forced STRASSEN_STRATEGY / STRASSEN_ALGO environments.
+  // Asserts Morton-only conversion timers; the per-call pin keeps the test
+  // meaningful under a forced STRASSEN_STRATEGY=packfused environment.
   ModgemmOptions opt;
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(), n,
           0.0, C.data(), n, opt, &report);
   EXPECT_EQ(report.products, 1);

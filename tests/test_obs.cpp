@@ -106,10 +106,9 @@ TEST(ObsPhases, PopulatedAndConsistent) {
   ModgemmOptions opt;
   opt.tiles.direct_threshold = 32;  // force a Strassen execution
   // This test asserts Morton-only observables (conversion phases); pin the
-  // strategy and the <2,2,2> family so it holds under forced
-  // STRASSEN_STRATEGY / STRASSEN_ALGO environments (pin > env).
+  // strategy so it holds under a forced STRASSEN_STRATEGY=packfused
+  // environment (the per-call pin outranks the env override).
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   p.run(opt, &report);
 
@@ -215,11 +214,9 @@ TEST(ObsWorkspace, RequestedMatchesPublicSizing) {
   Problem p(200);
   ModgemmOptions opt;
   opt.tiles.direct_threshold = 32;
-  // modgemm_workspace_bytes sizes the Morton <2,2,2> execution; pin the
-  // strategy and family so the equality holds under forced
-  // STRASSEN_STRATEGY / STRASSEN_ALGO legs.
+  // modgemm_workspace_bytes sizes the Morton execution; pin the strategy so
+  // the equality holds under a forced STRASSEN_STRATEGY=packfused leg.
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   p.run(opt, &report);
   ASSERT_FALSE(report.plan.direct);
@@ -232,10 +229,6 @@ TEST(ObsWorkspace, FallbackLadderIsRecorded) {
   Problem p(200);
   ModgemmOptions opt;
   opt.tiles.direct_threshold = 32;
-  // Pin <2,2,2>: under a forced STRASSEN_ALGO the first gated allocation is
-  // the family staging, and the fault would degrade via kAlgoFallback
-  // instead of the <2,2,2> ladder's kAllocDirect (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   {
     // Refuse the (single) arena allocation: the ladder degrades to the
@@ -336,18 +329,11 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   const int n = 256;
   Problem p(n);
   Matrix<double> Cserial(n, n);
-  // Pinned to <2,2,2> on both sides: these tests assert the Morton spawn
-  // mechanics, which a forced STRASSEN_ALGO run would reroute through the
-  // family level (pin > env).
-  ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
-                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
-                sopt);
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld());
 
   parallel::ThreadPool pool(4);
   parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k222;
   popt.spawn_levels = 1;
   ModgemmReport report;
   popt.report = &report;
@@ -376,27 +362,45 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   EXPECT_GE(report.workspace_allocations, 3 + 7);  // Morton bufs + task arenas
   EXPECT_GT(report.leaf_calls + report.fused_calls, 0u);
   EXPECT_GT(report.pool_utilization(), 0.0);
+  EXPECT_LE(report.pool_utilization(), 1.0);
   // Steals are scheduling-dependent (0 is legal on a loaded host), but they
   // can never exceed the number of tasks that ran.
   EXPECT_LE(report.steals, report.tasks_executed);
+}
+
+// The calling thread runs tasks too (inline and help-first while it joins),
+// so utilization is busy time over (workers + caller) x wall and can never
+// exceed 1 -- on small pools the caller's share is largest.
+TEST(ObsParallel, UtilizationCountsTheCallingThread) {
+  const int n = 256;
+  Problem p(n);
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    parallel::ThreadPool pool(threads);
+    parallel::ParallelOptions popt;
+    popt.min_task_flops = 1;  // fork at every level: the caller helps a lot
+    ModgemmReport report;
+    popt.report = &report;
+    parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
+                       p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
+                       p.C.data(), p.C.ld(), popt);
+    EXPECT_EQ(report.threads, threads);
+    EXPECT_EQ(report.per_thread_tasks.size(),
+              static_cast<std::size_t>(threads) + 1);
+    EXPECT_GT(report.pool_utilization(), 0.0);
+    EXPECT_LE(report.pool_utilization(), 1.0);
+  }
 }
 
 TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   const int n = 256;
   Problem p(n);
   Matrix<double> Cserial(n, n);
-  // Pinned to <2,2,2> on both sides: these tests assert the Morton spawn
-  // mechanics, which a forced STRASSEN_ALGO run would reroute through the
-  // family level (pin > env).
-  ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
-                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
-                sopt);
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld());
 
   parallel::ThreadPool pool(4);
   parallel::ParallelOptions popt;  // spawn_levels = kSpawnAuto
-  popt.algo = analysis::AlgoFamily::k222;
   popt.min_task_flops = 1;         // fork at EVERY level
   ModgemmReport report;
   popt.report = &report;
@@ -424,18 +428,11 @@ TEST(ObsParallel, AllocFailureDegradesIntoOneCoherentReport) {
   const int n = 256;
   Problem p(n);
   Matrix<double> Cserial(n, n);
-  // Pinned to <2,2,2> on both sides: these tests assert the Morton spawn
-  // mechanics, which a forced STRASSEN_ALGO run would reroute through the
-  // family level (pin > env).
-  ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
-                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
-                sopt);
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld());
 
   parallel::ThreadPool pool(2);
   parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   popt.report = &report;
   {

@@ -391,10 +391,6 @@ TEST(PackFusedReport, StampsStrategyAndConversionSavings) {
   StrategyProblem p(256);
   ModgemmOptions opt;
   opt.strategy = ExecStrategy::kPackFused;
-  // Pinned to <2,2,2>: the savings arithmetic below describes the pack-fused
-  // <2,2,2> product, which a forced STRASSEN_ALGO run would route through a
-  // family level instead (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   const ModgemmReport r = p.run(opt);
   ASSERT_FALSE(r.plan.direct);
   EXPECT_STREQ(r.strategy, "packfused");
@@ -425,9 +421,6 @@ TEST(PackFusedReport, WorkspaceAccountingMatchesPublicSizing) {
   StrategyProblem p(200);
   ModgemmOptions opt;
   opt.strategy = ExecStrategy::kPackFused;
-  // Pinned to <2,2,2>: same reason as above -- the single-allocation
-  // accounting holds for the pack-fused path, not a family level.
-  opt.algo = analysis::AlgoFamily::k222;
   opt.tiles.direct_threshold = 32;
   ModgemmReport r;
   ft::FaultInjector counter;  // count gated allocations
@@ -492,13 +485,8 @@ TEST(PackFusedHeuristic, RectangularOneShotPrefersPackFused) {
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
   ModgemmReport r;
-  // Pinned to <2,2,2>: this test is about the Morton-vs-packfused strategy
-  // heuristic, and a forced-STRASSEN_ALGO run would route the shape through
-  // the family level instead (pin > env > heuristic).
-  ModgemmOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m,
-                B.data(), k, 0.0, C.data(), m, opt, &r);
+                B.data(), k, 0.0, C.data(), m, {}, &r);
   if (r.plan.direct) GTEST_SKIP() << "planner went direct on this host";
   EXPECT_STREQ(r.strategy, "packfused");
 }
@@ -571,11 +559,6 @@ TEST(PackFusedFaults, ArenaRefusalDegradesToDirect) {
   StrategyProblem p(200);
   ModgemmOptions opt;
   opt.strategy = ExecStrategy::kPackFused;
-  // Pinned to <2,2,2>: the test injects a fault into the pack-fused path's
-  // single gated allocation, but a forced STRASSEN_ALGO run would put the
-  // family staging allocation first and the fault would land there instead
-  // (degrading via kAlgoFallback, not kAllocDirect).  Pin > env.
-  opt.algo = analysis::AlgoFamily::k222;
   opt.tiles.direct_threshold = 32;
   ModgemmReport report;
   {

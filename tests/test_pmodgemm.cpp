@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <tuple>
 
@@ -152,17 +153,11 @@ TEST_P(PmodgemmSplitPath, BitIdenticalToSerialSplitter) {
   copy_matrix<double>(C0.view(), Cs.view());
   copy_matrix<double>(C0.view(), Cp.view());
 
-  // Pinned to <2,2,2> on both sides: this test is about the split path, and
-  // a forced-STRASSEN_ALGO run would otherwise route these long shapes
-  // through one family level instead (pin > env > heuristic).
-  core::ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::Trans, Op::Trans, m, n, k, 1.5, A.data(), A.ld(),
-                B.data(), B.ld(), -0.5, Cs.data(), Cs.ld(), sopt);
+                B.data(), B.ld(), -0.5, Cs.data(), Cs.ld());
   ThreadPool pool(threads);
   obs::GemmReport report;
   ParallelOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
   opt.report = &report;
   pmodgemm(&pool, Op::Trans, Op::Trans, m, n, k, 1.5, A.data(), A.ld(),
            B.data(), B.ld(), -0.5, Cp.data(), Cp.ld(), opt);
@@ -185,6 +180,55 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::tuple<int, int, int>{100, 100,
                                                                    2100}),
                        ::testing::Values(2, 4)));
+
+// Rectangular dgemm-convention shapes with transposes and alpha/beta
+// accumulating into strided C, all taking the split path: the parallel
+// driver must reproduce the serial one bit for bit on each.
+struct MixShape {
+  Op opa, opb;
+  int m, n, k;
+  double alpha, beta;
+};
+
+// Readable (and deterministic) test names: "TT_700x2500x700_a-1_b0.5".
+void PrintTo(const MixShape& s, std::ostream* os) {
+  *os << op_char(s.opa) << op_char(s.opb) << "_" << s.m << "x" << s.n << "x"
+      << s.k << "_a" << s.alpha << "_b" << s.beta;
+}
+
+using MixParam = std::tuple<MixShape, int>;  // shape, threads
+class PmodgemmMix : public ::testing::TestWithParam<MixParam> {};
+
+TEST_P(PmodgemmMix, BitIdenticalToSerial) {
+  const auto [s, threads] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(s.m) * 7 + s.n * 3 + s.k + threads);
+  Matrix<double> A(s.opa == Op::NoTrans ? s.m : s.k,
+                   s.opa == Op::NoTrans ? s.k : s.m);
+  Matrix<double> B(s.opb == Op::NoTrans ? s.k : s.n,
+                   s.opb == Op::NoTrans ? s.n : s.k);
+  Matrix<double> Cs(s.m, s.n, s.m + 3), Cp(s.m, s.n, s.m + 3);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  rng.fill_uniform(Cs.storage());
+  copy_matrix<double>(Cs.view(), Cp.view());
+
+  core::modgemm(s.opa, s.opb, s.m, s.n, s.k, s.alpha, A.data(), A.ld(),
+                B.data(), B.ld(), s.beta, Cs.data(), Cs.ld());
+  ThreadPool pool(threads);
+  pmodgemm(&pool, s.opa, s.opb, s.m, s.n, s.k, s.alpha, A.data(), A.ld(),
+           B.data(), B.ld(), s.beta, Cp.data(), Cp.ld());
+  EXPECT_EQ(max_abs_diff<double>(Cs.view(), Cp.view()), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PmodgemmMix,
+    ::testing::Combine(
+        ::testing::Values(
+            MixShape{Op::NoTrans, Op::NoTrans, 200, 765, 593, 1.0, 0.0},
+            MixShape{Op::Trans, Op::NoTrans, 3000, 400, 400, 1.0, 0.0},
+            MixShape{Op::NoTrans, Op::Trans, 1500, 700, 300, 0.5, 1.0},
+            MixShape{Op::Trans, Op::Trans, 700, 2500, 700, -1.0, 0.5}),
+        ::testing::Values(2, 4)));
 
 // Deterministic mid-submission failure: the pool's submit gate (the OOM
 // point where building a task object throws) denies every third submission.

@@ -106,13 +106,17 @@ FALLBACKS = {"none", "schedule-swap", "depth-reduced", "budget-direct",
              "alloc-direct", "alloc-strided"}
 # The v6 rung: a forced/chosen <m,k,n> family could not run (workspace
 # budget or allocation failure) and the call degraded to the <2,2,2> ladder.
+# The family engine is retired, so current builds never emit it; the value
+# stays valid v6 for reports written while it shipped.
 FALLBACKS_V6 = FALLBACKS | {"algo-fallback"}
 # "none" = direct (no Strassen plan ran, so no schedule family applies).
 SCHEDULES = {"none", "winograd", "winograd-lowmem", "winograd-inplace"}
 # "none" = direct (no recursive execution, so no strategy applies).
 STRATEGIES = {"none", "morton", "packfused"}
 # "none" = the report predates resolution or the call never dispatched;
-# numeric names are the shipped <m,k,n> coefficient tables.
+# numeric names are <m,k,n> partitions.  Current builds emit only "222";
+# the others stay valid v6 for reports written while the family engine
+# shipped.
 ALGOS = {"none", "222", "323", "234", "333"}
 ENTRIES = {"modgemm", "pmodgemm", "modgemm_batched"}
 # "off" = not a tuned batched call; "cold"/"warm"/"rejected" = the
