@@ -16,14 +16,16 @@
 //   * gemm_leaf -- the dispatching wrapper.  For the production (RawMem,
 //     double) instantiation it routes to the kernel engine
 //     (blas/kernels/registry.hpp) when a SIMD kernel is active: explicit
-//     micro-kernels (AVX2+FMA 8x6/4x8, NEON 4x4) selected by a runtime CPU
+//     micro-kernels (AVX2+FMA 8x6, NEON 4x4) selected by a runtime CPU
 //     probe.  With the scalar kernel active it compiles the local
 //     gemm_leaf_generic instantiation instead -- the identical per-TU code
 //     the pre-engine library ran -- so STRASSEN_KERNEL=scalar reproduces the
 //     seed bit for bit.
 //
-// Edges (m or n not multiples of the register block) fall back to a scalar
-// path in every implementation.
+// Edges (m or n not multiples of the register block) run a scalar loop in
+// the generic template (and so in the scalar table), a column-strip path in
+// the NEON table, and masked or narrow register blocks in the AVX2 table
+// (kernels/avx2.cpp).
 #pragma once
 
 #include <cstddef>

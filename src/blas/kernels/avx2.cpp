@@ -4,17 +4,9 @@
 // of the library keeps its portable -march; the registry only routes here
 // when cpuid reports AVX2+FMA at runtime.
 //
-// Two register-block variants share one implementation template:
-//
-//   8x6 -- 12 ymm accumulators + 2 A vectors + 1 B broadcast = 15 of 16 ymm;
-//          the classic double-precision blocking for 16-register AVX2.
-//   4x8 --  8 ymm accumulators + 1 A vector + 1 B broadcast; lower register
-//          pressure, and its 4/8 footprints divide the library's power-of-two
-//          tiles (16, 32, 64) exactly, so those shapes run edge-free.
-//
-// The variant is chosen per call shape (whichever covers more of m x n with
-// full blocks), or pinned via set_avx2_variant / STRASSEN_KERNEL=avx2-8x6 /
-// avx2-4x8 / the autotuner.
+// The register block is 8x6: 12 ymm accumulators + 2 A vectors + 1 B
+// broadcast = 15 of 16 ymm, the classic double-precision blocking for
+// 16-register AVX2.
 //
 // Operand loaders abstract A and B access so the same blocks serve the plain
 // kernel and the fused Winograd kernels, which form (A1 +/- A2) or
@@ -24,8 +16,22 @@
 // Columns are contiguous in column-major storage, so A loads are plain
 // unaligned vector loads for ANY leading dimension; Morton leaf operands are
 // additionally contiguous (ld == rows) and 64-byte aligned, which is the
-// fast case the engine is built around.  Edges (m % MR, n % NR) run a
-// column-strip path: vectorized over four rows at a time, scalar tail.
+// fast case the engine is built around.
+//
+// Edges run register blocks too, so a tile that is not a multiple of the
+// block (25, 33, 47, 63 -- the planner picks such tiles to keep padding
+// small) keeps near the full-block rate:
+//
+//   row remainder    (m % 8)   one block of ceil(rem / 4) row vectors whose
+//                              last vector is masked (vmaskmovpd loads and
+//                              stores: nothing past row m is read or written);
+//   column remainder (n % 6)   the same block template at width R = n % 6,
+//                              ceil(8 / R) row vectors tall, so at least
+//                              eight FMA chains stay independent.
+//
+// Every element of C, edge or not, is one FMA chain over p in order followed
+// by the same epilogue (alpha * acc, or fma(alpha, acc, C) in Accumulate
+// mode), so its bits do not depend on which block covers it.
 #include "blas/kernels/registry.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -41,12 +47,17 @@ inline std::size_t off(int ld, int col) {
 }
 
 // ---- operand loaders ------------------------------------------------------
+// load4 reads four rows of column p; load4m reads only the lanes set in
+// `mask` (the rest read as zero), so a row remainder never touches memory
+// past row m -- not even within the same cache line.
 
 struct APlain {
   const double* a;
   int lda;
   __m256d load4(int i, int p) const { return _mm256_loadu_pd(a + off(lda, p) + i); }
-  double at(int i, int p) const { return a[off(lda, p) + i]; }
+  __m256d load4m(int i, int p, __m256i mask) const {
+    return _mm256_maskload_pd(a + off(lda, p) + i, mask);
+  }
 };
 
 template <bool kSub>
@@ -54,14 +65,16 @@ struct AFused {
   const double* a1;
   const double* a2;
   int lda;
-  __m256d load4(int i, int p) const {
-    const __m256d x = _mm256_loadu_pd(a1 + off(lda, p) + i);
-    const __m256d y = _mm256_loadu_pd(a2 + off(lda, p) + i);
+  static __m256d op(__m256d x, __m256d y) {
     return kSub ? _mm256_sub_pd(x, y) : _mm256_add_pd(x, y);
   }
-  double at(int i, int p) const {
-    return kSub ? a1[off(lda, p) + i] - a2[off(lda, p) + i]
-                : a1[off(lda, p) + i] + a2[off(lda, p) + i];
+  __m256d load4(int i, int p) const {
+    return op(_mm256_loadu_pd(a1 + off(lda, p) + i),
+              _mm256_loadu_pd(a2 + off(lda, p) + i));
+  }
+  __m256d load4m(int i, int p, __m256i mask) const {
+    return op(_mm256_maskload_pd(a1 + off(lda, p) + i, mask),
+              _mm256_maskload_pd(a2 + off(lda, p) + i, mask));
   }
 };
 
@@ -82,98 +95,129 @@ struct BFused {
   }
 };
 
+// Lanes [0, rows) of a four-lane vector, rows in 1..4.
+inline __m256i lane_mask(int rows) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(rows),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
 // ---- kernel blocks --------------------------------------------------------
 
-// One MR x NR register block at (i, j): C block {=, +=} alpha * A.B.
-template <int MR, int NR, class AL, class BL>
+// One (4 MV) x NR register block at (i, j): C block {=, +=} alpha * A.B.
+// With kTail the last row vector loads and stores only the lanes in `mask`.
+// The fixed-trip loops are unrolled early (#pragma GCC unroll) so that
+// `acc` is scalarized into registers: otherwise GCC keeps the array on the
+// stack for the epilogue and spills every accumulator after the k-loop.
+template <int MV, int NR, bool kTail, class AL, class BL>
 void block(const AL& A, const BL& B, int k, double* C, int ldc, LeafMode mode,
-           double alpha, int i, int j) {
-  constexpr int MV = MR / 4;  // ymm vectors per column strip
+           double alpha, int i, int j, __m256i mask) {
+  auto masked = [](int v) { return kTail && v == MV - 1; };
   __m256d acc[NR][MV];
+  #pragma GCC unroll 16
   for (int jj = 0; jj < NR; ++jj)
+    #pragma GCC unroll 16
     for (int v = 0; v < MV; ++v) acc[jj][v] = _mm256_setzero_pd();
   for (int p = 0; p < k; ++p) {
     __m256d a[MV];
-    for (int v = 0; v < MV; ++v) a[v] = A.load4(i + 4 * v, p);
+    #pragma GCC unroll 16
+    for (int v = 0; v < MV; ++v)
+      a[v] = masked(v) ? A.load4m(i + 4 * v, p, mask) : A.load4(i + 4 * v, p);
+    #pragma GCC unroll 16
     for (int jj = 0; jj < NR; ++jj) {
       const __m256d b = _mm256_set1_pd(B.at(p, j + jj));
+      #pragma GCC unroll 16
       for (int v = 0; v < MV; ++v)
         acc[jj][v] = _mm256_fmadd_pd(a[v], b, acc[jj][v]);
     }
   }
   const __m256d va = _mm256_set1_pd(alpha);
+  #pragma GCC unroll 16
   for (int jj = 0; jj < NR; ++jj) {
     double* c = C + off(ldc, j + jj) + i;
+    #pragma GCC unroll 16
     for (int v = 0; v < MV; ++v) {
+      double* cv = c + 4 * v;
+      // Accumulate is one FMA, C + alpha * acc rounded once, written out
+      // because GCC's default -ffp-contract=fast fuses a mul+add in some
+      // instantiations and not in others, and the bits must not depend on
+      // that.
       __m256d r = _mm256_mul_pd(va, acc[jj][v]);
       if (mode == LeafMode::Accumulate)
-        r = _mm256_add_pd(_mm256_loadu_pd(c + 4 * v), r);
-      _mm256_storeu_pd(c + 4 * v, r);
+        r = _mm256_fmadd_pd(va, acc[jj][v],
+                            masked(v) ? _mm256_maskload_pd(cv, mask)
+                                      : _mm256_loadu_pd(cv));
+      if (masked(v))
+        _mm256_maskstore_pd(cv, mask, r);
+      else
+        _mm256_storeu_pd(cv, r);
     }
   }
 }
 
-// Edge path: columns [j0, j1) x rows [i0, i1), one column at a time,
-// vectorized over four-row strips with a scalar row tail.
+// The last `rows` (1..4 MV) rows of a panel: one block of ceil(rows / 4)
+// vectors, the last one masked.
+template <int MV, int NR, class AL, class BL>
+void tail_block(const AL& A, const BL& B, int k, double* C, int ldc,
+                LeafMode mode, double alpha, int i, int j, int rows) {
+  if constexpr (MV > 1) {
+    if (rows <= 4 * (MV - 1)) {
+      tail_block<MV - 1, NR>(A, B, k, C, ldc, mode, alpha, i, j, rows);
+      return;
+    }
+  }
+  block<MV, NR, true>(A, B, k, C, ldc, mode, alpha, i, j,
+                      lane_mask(rows - 4 * (MV - 1)));
+}
+
+// Columns [j, j + NR) over all m rows: full blocks of MV row vectors, then
+// the row remainder as one masked tail block.
+template <int MV, int NR, class AL, class BL>
+void panel(const AL& A, const BL& B, int m, int k, double* C, int ldc,
+           LeafMode mode, double alpha, int j) {
+  int i = 0;
+  for (; i + 4 * MV <= m; i += 4 * MV)
+    block<MV, NR, false>(A, B, k, C, ldc, mode, alpha, i, j, __m256i{});
+  if (i < m) tail_block<MV, NR>(A, B, k, C, ldc, mode, alpha, i, j, m - i);
+}
+
+// The column remainder: R = n % NR columns starting at j, as one panel of
+// width R whose blocks are tall enough (ceil(8 / R) row vectors) to keep at
+// least eight independent FMA chains in flight.
+template <int NR, int R = 1, class AL, class BL>
+void edge_panel(const AL& A, const BL& B, int m, int k, double* C, int ldc,
+                LeafMode mode, double alpha, int j, int r) {
+  if constexpr (R < NR) {
+    if (r == R) {
+      panel<(8 + R - 1) / R, R>(A, B, m, k, C, ldc, mode, alpha, j);
+      return;
+    }
+    edge_panel<NR, R + 1>(A, B, m, k, C, ldc, mode, alpha, j, r);
+  }
+}
+
+// C {=, +=} alpha * A.B over m x n.  The full 8x6 blocks run as one flat
+// loop rather than through panel(), which measured 2-5% slower at T <= 32;
+// the remainders follow.
 template <class AL, class BL>
-void strip_cols(const AL& A, const BL& B, int k, double* C, int ldc, int i0,
-                int i1, int j0, int j1, LeafMode mode, double alpha) {
-  for (int j = j0; j < j1; ++j) {
-    double* c = C + off(ldc, j);
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (int p = 0; p < k; ++p)
-        acc = _mm256_fmadd_pd(A.load4(i, p), _mm256_set1_pd(B.at(p, j)), acc);
-      __m256d r = _mm256_mul_pd(_mm256_set1_pd(alpha), acc);
-      if (mode == LeafMode::Accumulate)
-        r = _mm256_add_pd(_mm256_loadu_pd(c + i), r);
-      _mm256_storeu_pd(c + i, r);
-    }
-    for (; i < i1; ++i) {
-      double acc = 0.0;
-      for (int p = 0; p < k; ++p) acc += A.at(i, p) * B.at(p, j);
-      const double v = alpha * acc;
-      c[i] = mode == LeafMode::Overwrite ? v : c[i] + v;
-    }
-  }
-}
-
-template <int MR, int NR, class AL, class BL>
 void gemm_main(int m, int n, int k, const AL& A, const BL& B, double* C,
                int ldc, LeafMode mode, double alpha) {
-  const int mM = m - m % MR;
+  constexpr int MV = 2, NR = 6;  // 8 rows = two ymm vectors
+  const int mM = m - m % (4 * MV);
   const int nN = n - n % NR;
   for (int j = 0; j < nN; j += NR)
-    for (int i = 0; i < mM; i += MR)
-      block<MR, NR>(A, B, k, C, ldc, mode, alpha, i, j);
-  if (mM < m) strip_cols(A, B, k, C, ldc, mM, m, 0, nN, mode, alpha);
-  if (nN < n) strip_cols(A, B, k, C, ldc, 0, m, nN, n, mode, alpha);
-}
-
-// Full-block coverage of an MR x NR variant over an m x n result.
-long long coverage(int m, int n, int mr, int nr) {
-  return static_cast<long long>(m - m % mr) * (n - n % nr);
-}
-
-template <class AL, class BL>
-void gemm_dispatch(int m, int n, int k, const AL& A, const BL& B, double* C,
-                   int ldc, LeafMode mode, double alpha) {
-  Avx2Variant v = avx2_variant();
-  if (v == Avx2Variant::kAuto)
-    v = coverage(m, n, 4, 8) > coverage(m, n, 8, 6) ? Avx2Variant::k4x8
-                                                    : Avx2Variant::k8x6;
-  if (v == Avx2Variant::k4x8)
-    gemm_main<4, 8>(m, n, k, A, B, C, ldc, mode, alpha);
-  else
-    gemm_main<8, 6>(m, n, k, A, B, C, ldc, mode, alpha);
+    for (int i = 0; i < mM; i += 4 * MV)
+      block<MV, NR, false>(A, B, k, C, ldc, mode, alpha, i, j, __m256i{});
+  if (mM < m)
+    for (int j = 0; j < nN; j += NR)
+      tail_block<MV, NR>(A, B, k, C, ldc, mode, alpha, mM, j, m - mM);
+  if (nN < n) edge_panel<NR>(A, B, m, k, C, ldc, mode, alpha, nN, n - nN);
 }
 
 // ---- table entries --------------------------------------------------------
 
 void avx2_gemm(int m, int n, int k, const double* A, int lda, const double* B,
                int ldb, double* C, int ldc, LeafMode mode, double alpha) {
-  gemm_dispatch(m, n, k, APlain{A, lda}, BPlain{B, ldb}, C, ldc, mode, alpha);
+  gemm_main(m, n, k, APlain{A, lda}, BPlain{B, ldb}, C, ldc, mode, alpha);
 }
 
 void avx2_gemm_fused_a(int m, int n, int k, const double* A1, const double* A2,
@@ -181,10 +225,10 @@ void avx2_gemm_fused_a(int m, int n, int k, const double* A1, const double* A2,
                        double* C, int ldc) {
   const BPlain b{B, ldb};
   if (opa == FusedOp::kSub)
-    gemm_dispatch(m, n, k, AFused<true>{A1, A2, lda}, b, C, ldc,
+    gemm_main(m, n, k, AFused<true>{A1, A2, lda}, b, C, ldc,
                   LeafMode::Overwrite, 1.0);
   else
-    gemm_dispatch(m, n, k, AFused<false>{A1, A2, lda}, b, C, ldc,
+    gemm_main(m, n, k, AFused<false>{A1, A2, lda}, b, C, ldc,
                   LeafMode::Overwrite, 1.0);
 }
 
@@ -193,10 +237,10 @@ void avx2_gemm_fused_b(int m, int n, int k, const double* A, int lda,
                        int ldb, double* C, int ldc) {
   const APlain a{A, lda};
   if (opb == FusedOp::kSub)
-    gemm_dispatch(m, n, k, a, BFused<true>{B1, B2, ldb}, C, ldc,
+    gemm_main(m, n, k, a, BFused<true>{B1, B2, ldb}, C, ldc,
                   LeafMode::Overwrite, 1.0);
   else
-    gemm_dispatch(m, n, k, a, BFused<false>{B1, B2, ldb}, C, ldc,
+    gemm_main(m, n, k, a, BFused<false>{B1, B2, ldb}, C, ldc,
                   LeafMode::Overwrite, 1.0);
 }
 
@@ -205,7 +249,7 @@ void avx2_gemm_fused_ab(int m, int n, int k, const double* A1,
                         const double* B1, const double* B2, FusedOp opb,
                         int ldb, double* C, int ldc) {
   auto run = [&](auto a, auto b) {
-    gemm_dispatch(m, n, k, a, b, C, ldc, LeafMode::Overwrite, 1.0);
+    gemm_main(m, n, k, a, b, C, ldc, LeafMode::Overwrite, 1.0);
   };
   if (opa == FusedOp::kSub) {
     if (opb == FusedOp::kSub)

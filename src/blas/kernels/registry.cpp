@@ -55,10 +55,6 @@ Kind parse_env(Avx2Variant* variant) {
     *variant = Avx2Variant::k8x6;
     return Kind::kAvx2;
   }
-  if (std::strcmp(e, "avx2-4x8") == 0) {
-    *variant = Avx2Variant::k4x8;
-    return Kind::kAvx2;
-  }
   if (std::strcmp(e, "neon") == 0) return Kind::kNeon;
   return Kind::kScalar;
 }
@@ -176,15 +172,11 @@ Kind parse_kernel_name(const char* value, Avx2Variant* variant) {
     if (variant != nullptr) *variant = Avx2Variant::k8x6;
     return Kind::kAvx2;
   }
-  if (std::strcmp(value, "avx2-4x8") == 0) {
-    if (variant != nullptr) *variant = Avx2Variant::k4x8;
-    return Kind::kAvx2;
-  }
   if (std::strcmp(value, "neon") == 0) return Kind::kNeon;
   STRASSEN_REQUIRE(false, "STRASSEN_KERNEL: unknown kernel \""
                               << value
-                              << "\" (expected scalar, avx2, avx2-8x6, "
-                                 "avx2-4x8 or neon)");
+                              << "\" (expected scalar, avx2, avx2-8x6 "
+                                 "or neon)");
   return Kind::kAuto;  // unreachable
 }
 
@@ -216,8 +208,6 @@ const char* variant_name(Avx2Variant v) noexcept {
       return "auto";
     case Avx2Variant::k8x6:
       return "8x6";
-    case Avx2Variant::k4x8:
-      return "4x8";
   }
   return "unknown";
 }

@@ -8,12 +8,12 @@
 //
 //   scalar    4x4  -- the portable fallback; byte-for-byte the code the
 //                     generic MemModel template produces (seed behaviour)
-//   avx2      8x6 and 4x8 (double, AVX2+FMA), selected per shape or pinned
+//   avx2      8x6  (double, AVX2+FMA)
 //   neon      4x4  (double, Advanced SIMD; AArch64 and ARMv7-NEON)
 //
 // selected once at startup by a CPU probe (cpuid on x86, HWCAP/mandatory
 // NEON on ARM), overridable by the STRASSEN_KERNEL environment variable
-// ("scalar" | "avx2" | "avx2-8x6" | "avx2-4x8" | "neon") and per call via
+// ("scalar" | "avx2" | "avx2-8x6" | "neon") and per call via
 // ModgemmOptions::kernel.
 //
 // The engine serves ONLY the production RawMem/double instantiation: the
@@ -41,10 +41,10 @@ namespace strassen::blas::kernels {
 // names "re-run the probe + environment override" in setter contexts.
 enum class Kind { kAuto = -1, kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-// Register-block variant of the AVX2 kernel.  kAuto picks per call shape
-// (n % 6 == 0 favours 8x6, n % 8 == 0 favours 4x8); the autotuner or the
-// STRASSEN_KERNEL suffix can pin one.
-enum class Avx2Variant { kAuto = 0, k8x6 = 1, k4x8 = 2 };
+// Register-block variant of the AVX2 kernel.  There is one block, 8x6
+// (kernels/avx2.cpp), so kAuto and k8x6 run the same code; the type stays so
+// pins, tune caches and reports keep their "avx2-8x6" / "8x6" spelling.
+enum class Avx2Variant { kAuto = 0, k8x6 = 1 };
 
 // Operand combination applied on the fly by the fused kernels.
 enum class FusedOp { kAdd, kSub };
@@ -127,8 +127,8 @@ void set_avx2_variant(Avx2Variant v) noexcept;
 // The active table (never null).
 const LeafKernels& active() noexcept;
 
-// Parses a STRASSEN_KERNEL-style value: "scalar", "avx2", "avx2-8x6",
-// "avx2-4x8" or "neon" ("" and "auto" mean kAuto).  Any other string throws
+// Parses a STRASSEN_KERNEL-style value: "scalar", "avx2", "avx2-8x6" or
+// "neon" ("" and "auto" mean kAuto).  Any other string throws
 // std::invalid_argument naming the offending value -- this is the loud
 // counterpart of the noexcept dispatch chain's degrade-to-scalar guarantee.
 // Writes the pinned AVX2 variant (if the value names one) through `variant`

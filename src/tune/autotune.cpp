@@ -58,7 +58,6 @@ AutotuneResult autotune(const AutotuneOptions& opt) {
     for (ker::Kind kind : ker::available_kernels()) {
       if (kind == ker::Kind::kAvx2) {
         configs.push_back({kind, ker::Avx2Variant::k8x6});
-        configs.push_back({kind, ker::Avx2Variant::k4x8});
       } else {
         configs.push_back({kind, ker::Avx2Variant::kAuto});
       }

@@ -121,7 +121,6 @@ std::string kernel_value(blas::kernels::Kind kind,
   std::string v = blas::kernels::kind_name(kind);
   if (kind == blas::kernels::Kind::kAvx2) {
     if (variant == Avx2Variant::k8x6) v += "-8x6";
-    if (variant == Avx2Variant::k4x8) v += "-4x8";
   }
   return v;
 }
