@@ -243,7 +243,7 @@ int run_kernel_sweep(const std::string& json_path, double check_speedup) {
   // config name -> tile -> GFLOP/s
   std::map<std::string, std::map<int, double>> results;
   // config name -> one observed modgemm call's GemmReport (JSON), giving
-  // each configuration's leaf/fused usage and phase split at n = 256.
+  // each configuration's leaf time and phase split at n = 256.
   std::map<std::string, std::string> modgemm_reports;
   for (const KernelConfig& cfg : configs) {
     ker::ScopedKernel pin(cfg.kind, cfg.variant);

@@ -49,6 +49,9 @@ enum class Operand : std::uint8_t {
 
 inline constexpr int kOperandCount = 18;
 
+// Temporaries a schedule may declare: kTS0..kTP1.
+inline constexpr int kMaxTemps = 6;
+
 enum class Shape : std::uint8_t { kA, kB, kC, kNone };
 
 constexpr Shape shape_of(Operand op) {
@@ -108,9 +111,6 @@ constexpr const char* operand_name(Operand op) {
 //   kAddInplace   dst = dst + a0                   (blas::vadd_inplace)
 //   kSubInplace   dst = dst - a0                   (blas::vsub_inplace)
 //   kMul          dst = a0 . b0                    (recursive product)
-//   kMulFusedA    dst = (a0 asign a1) . b0         (kernel gemm_fused_a)
-//   kMulFusedB    dst = a0 . (b0 bsign b1)         (kernel gemm_fused_b)
-//   kMulFusedAB   dst = (a0 asign a1) . (b0 bsign b1)  (gemm_fused_ab)
 // Element-wise steps may alias dst with a source EXACTLY (the level-1 alias
 // contract); products must never alias their destination with a source --
 // the verifier rejects the latter, shape rules make it impossible for
@@ -121,73 +121,51 @@ enum class StepKind : std::uint8_t {
   kAddInplace,
   kSubInplace,
   kMul,
-  kMulFusedA,
-  kMulFusedB,
-  kMulFusedAB,
 };
 
+// Sign of the second operand of a packed operand sum (blas/pack.hpp).
 enum class Sign : std::int8_t { kMinus = -1, kPlus = 1 };
 
-constexpr bool is_product(StepKind k) {
-  return k == StepKind::kMul || k == StepKind::kMulFusedA ||
-         k == StepKind::kMulFusedB || k == StepKind::kMulFusedAB;
-}
-
-constexpr bool is_fused(StepKind k) {
-  return k == StepKind::kMulFusedA || k == StepKind::kMulFusedB ||
-         k == StepKind::kMulFusedAB;
-}
+constexpr bool is_product(StepKind k) { return k == StepKind::kMul; }
 
 struct Step {
   StepKind kind;
   Operand dst;
   Operand a0 = Operand::kNone;  // first source (A side of a product)
-  Operand a1 = Operand::kNone;  // second linear source / fused A partner
+  Operand a1 = Operand::kNone;  // second linear source
   Operand b0 = Operand::kNone;  // B side of a product
-  Operand b1 = Operand::kNone;  // fused B partner
-  Sign asign = Sign::kPlus;     // sign applied to a1 in kMulFusedA/AB
-  Sign bsign = Sign::kPlus;     // sign applied to b1 in kMulFusedB/AB
   const char* note = "";        // paper name of the step (S3, P5, U2, ...)
 };
 
 // Step factories -- keep the tables readable.
 constexpr Step add(Operand dst, Operand x, Operand y, const char* note) {
-  return Step{StepKind::kAdd, dst, x, y, Operand::kNone, Operand::kNone,
-              Sign::kPlus, Sign::kPlus, note};
+  return Step{StepKind::kAdd, dst, x, y, Operand::kNone, note};
 }
 constexpr Step sub(Operand dst, Operand x, Operand y, const char* note) {
-  return Step{StepKind::kSub, dst, x, y, Operand::kNone, Operand::kNone,
-              Sign::kPlus, Sign::kPlus, note};
+  return Step{StepKind::kSub, dst, x, y, Operand::kNone, note};
 }
 constexpr Step add_ip(Operand dst, Operand x, const char* note) {
   return Step{StepKind::kAddInplace, dst, x, Operand::kNone, Operand::kNone,
-              Operand::kNone, Sign::kPlus, Sign::kPlus, note};
+              note};
 }
 constexpr Step sub_ip(Operand dst, Operand x, const char* note) {
   return Step{StepKind::kSubInplace, dst, x, Operand::kNone, Operand::kNone,
-              Operand::kNone, Sign::kPlus, Sign::kPlus, note};
+              note};
 }
 constexpr Step mul(Operand dst, Operand a, Operand b, const char* note) {
-  return Step{StepKind::kMul, dst, a, Operand::kNone, b, Operand::kNone,
-              Sign::kPlus, Sign::kPlus, note};
-}
-constexpr Step mul_fused_a(Operand dst, Operand a0, Sign s, Operand a1,
-                           Operand b, const char* note) {
-  return Step{StepKind::kMulFusedA, dst, a0, a1, b, Operand::kNone, s,
-              Sign::kPlus, note};
-}
-constexpr Step mul_fused_b(Operand dst, Operand a, Operand b0, Sign s,
-                           Operand b1, const char* note) {
-  return Step{StepKind::kMulFusedB, dst, a, Operand::kNone, b0, b1,
-              Sign::kPlus, s, note};
-}
-constexpr Step mul_fused_ab(Operand dst, Operand a0, Sign sa, Operand a1,
-                            Operand b0, Sign sb, Operand b1,
-                            const char* note) {
-  return Step{StepKind::kMulFusedAB, dst, a0, a1, b0, b1, sa, sb, note};
+  return Step{StepKind::kMul, dst, a, Operand::kNone, b, note};
 }
 
 // ---- schedules ------------------------------------------------------------
+
+// Arena buffer backing each temporary: id[i] is the dense buffer id of
+// temps[i].  Temps mapped to one id share a single allocation sized for the
+// larger shape; the verifier proves their live ranges are disjoint.  Held by
+// value (identity by default: each temp its own buffer) so constant
+// expressions never compare a table's address against null.
+struct TempBuffers {
+  std::int8_t id[kMaxTemps] = {0, 1, 2, 3, 4, 5};
+};
 
 struct Schedule {
   const char* name;
@@ -196,11 +174,6 @@ struct Schedule {
   const Operand* temps;    // temporaries in ALLOCATION order (arena pushes)
   int temp_count;
   int declared_temp_peak;  // documented live-temporary bound; verified
-  // True when the table contains fused-product steps: it is only executable
-  // at the last level before the leaves (d == 1) on a kernel table that
-  // publishes the fused entries, and only verifiable against a materialized
-  // reference.
-  bool uses_fused_kernels;
   // True when the table overwrites A/B quadrant slots (the Boyer-Dumas-
   // Pernet-Zhou in-place family).  Only executable on operand copies the
   // caller owns -- the Morton-staged quadrants -- never on user matrices,
@@ -211,16 +184,12 @@ struct Schedule {
   // quadrants' initial values are inputs the verifier must prove survive
   // into the result (and nowhere else).
   bool accumulates_c = false;
-  // Optional arena-buffer sharing: temp_buffer[i] is the dense buffer id
-  // backing temps[i].  Temps mapped to one id share a single allocation
-  // sized for the larger shape; the verifier proves their live ranges are
-  // disjoint.  nullptr = identity mapping (each temp gets its own buffer).
-  const std::int8_t* temp_buffer = nullptr;
+  TempBuffers temp_buffer{};
 };
 
-// Buffer id backing temps[i]: the declared mapping, or i itself.
+// Buffer id backing temps[i].
 constexpr int temp_buffer_id(const Schedule& s, int i) {
-  return s.temp_buffer != nullptr ? s.temp_buffer[i] : i;
+  return s.temp_buffer.id[i];
 }
 
 // Number of distinct arena buffers the schedule's temporaries occupy.
@@ -236,13 +205,13 @@ constexpr int temp_buffer_count(const Schedule& s) {
 // Planner-facing grouping of the shipped tables.  The family -- not an
 // individual table -- is what ModgemmOptions::schedule / STRASSEN_SCHEDULE
 // pin and what the degradation ladder swaps between: within a family the
-// recursion still picks per level (e.g. the fused level-1 table inside
-// kWinograd).  kAuto defers the choice to the planner, which prefers the
-// default family and degrades to the smaller-footprint ones only when
-// max_workspace_bytes forces it.
+// recursion still picks per level (e.g. kInPlace children run kLowMem).
+// kAuto defers the choice to the planner, which prefers the default family
+// and degrades to the smaller-footprint ones only when max_workspace_bytes
+// forces it.
 enum class ScheduleFamily : std::uint8_t {
   kAuto = 0,
-  kWinograd,  // 3-temp paper schedule (+ fused L1): the bit-exact default
+  kWinograd,  // 3-temp paper schedule: the bit-exact default
   kLowMem,    // 2-buffer Boyer-Dumas-Pernet-Zhou variant (tS/tP share)
   kInPlace,   // top level overwrites the Morton A/B copies; 1 temp
 };
@@ -276,9 +245,9 @@ inline constexpr Op tS = Op::kTS0, tT = Op::kTT0, tP = Op::kTP0;
 // The paper's Winograd schedule (S2), reordered so C's quadrants double as
 // scratch and exactly three temporaries are live per level: 7 recursive
 // products, 15 element-wise steps, 22 steps total.  This is the table the
-// recursion executes at every level (and the ONLY table executed for the
-// scalar kernel pin and for traced/counted memory models, which is what
-// keeps those paths bit-identical to the seed).
+// recursion executes at every level, on every kernel and memory model, with
+// every operand sum materialized once into a temporary -- the same blas
+// call sequence as the seed code, which keeps results bit-identical to it.
 inline constexpr Step kWinogradSteps[] = {
     sub(tS, A11, A21, "S3"),        // tS  = A11 - A21
     sub(tT, B22, B12, "T3"),        // tT  = B22 - B12
@@ -302,35 +271,6 @@ inline constexpr Step kWinogradSteps[] = {
     add_ip(C12, C11, "U7"),         // C12 = U6 + P6       [final C12]
     mul(C11, A12, B21, "P2"),       // C11 = A12 . B21
     add_ip(C11, tP, "U1"),          // C11 = P1 + P2       [final C11]
-};
-
-// Level-1 variant with the operand combinations that feed exactly one
-// product fused into the product itself (S3/T3 into P5, -T4 into P7, S4
-// into P6), saving four full passes over quadrant-sized temporaries.
-// S1/T1/S2/T2 stay materialized because the schedule reuses them.  Same
-// U-chain, same three temporaries.
-inline constexpr Step kWinogradFusedL1Steps[] = {
-    mul_fused_ab(C21, A11, Sign::kMinus, A21,     // C21 = (A11-A21).(B22-B12)
-                 B22, Sign::kMinus, B12, "P5"),   //       = S3 . T3
-    add(tS, A21, A22, "S1"),                      // tS  = A21 + A22
-    sub(tT, B12, B11, "T1"),                      // tT  = B12 - B11
-    mul(C22, tS, tT, "P3"),                       // C22 = S1 . T1
-    sub_ip(tS, A11, "S2"),                        // tS  = S1 - A11
-    sub(tT, B22, tT, "T2"),                       // tT  = B22 - T1
-    mul(C12, tS, tT, "P4"),                       // C12 = S2 . T2
-    mul(tP, A11, B11, "P1"),                      // tP  = A11 . B11
-    add_ip(C12, tP, "U2"),                        // C12 = P1 + P4
-    add_ip(C21, C12, "U3"),                       // C21 = U2 + P5
-    add_ip(C12, C22, "U6"),                       // C12 = U2 + P3
-    add_ip(C22, C21, "U5"),                       // C22 = U3 + P3  [final]
-    mul_fused_b(C11, A22, tT, Sign::kMinus, B21,  // C11 = A22 . (T2-B21)
-                "-P7"),
-    sub_ip(C21, C11, "U4"),                       // C21 = U3 + P7  [final]
-    mul_fused_a(C11, A12, Sign::kMinus, tS, B22,  // C11 = (A12-S2) . B22
-                "P6"),                            //       = S4 . B22
-    add_ip(C12, C11, "U7"),                       // C12 = U6 + P6  [final]
-    mul(C11, A12, B21, "P2"),                     // C11 = A12 . B21
-    add_ip(C11, tP, "U1"),                        // C11 = P1 + P2  [final]
 };
 
 // Allocation order matches the seed's arena pushes (tS, tT, tP) so the
@@ -375,7 +315,7 @@ inline constexpr Step kWinogradLowMemSteps[] = {
 
 // tS and tP share arena buffer 0 (sized for the larger of the A/C shapes);
 // tT owns buffer 1.
-inline constexpr std::int8_t kWinogradLowMemBuffers[] = {0, 1, 0};
+inline constexpr TempBuffers kWinogradLowMemBuffers{{0, 1, 0}};
 
 // The in-place schedule: the S/T operand sums overwrite the A/B quadrant
 // slots themselves, leaving a single C-shaped temporary (tP).  Every
@@ -459,8 +399,7 @@ inline constexpr Step kWinogradAccumSteps[] = {
 
 }  // namespace detail
 
-// The production Winograd schedule (every level; sole schedule for the
-// scalar pin and all traced/counted models).
+// The production Winograd schedule (every level of the default family).
 inline constexpr Schedule kWinograd{
     "winograd",
     detail::kWinogradSteps,
@@ -468,19 +407,6 @@ inline constexpr Schedule kWinograd{
     detail::kWinogradTemps,
     static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
     /*declared_temp_peak=*/3,
-    /*uses_fused_kernels=*/false,
-};
-
-// The fused level-1 variant, executed when d == 1 and the active kernel
-// table publishes gemm_fused_{a,b,ab}.
-inline constexpr Schedule kWinogradFusedL1{
-    "winograd-fused-l1",
-    detail::kWinogradFusedL1Steps,
-    static_cast<int>(sizeof(detail::kWinogradFusedL1Steps) / sizeof(Step)),
-    detail::kWinogradTemps,
-    static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
-    /*declared_temp_peak=*/3,
-    /*uses_fused_kernels=*/true,
 };
 
 // The 2-buffer low-memory schedule (ScheduleFamily::kLowMem): tS and tP
@@ -492,7 +418,6 @@ inline constexpr Schedule kWinogradLowMem{
     detail::kWinogradTemps,
     static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
     /*declared_temp_peak=*/2,
-    /*uses_fused_kernels=*/false,
     /*overwrites_inputs=*/false,
     /*accumulates_c=*/false,
     detail::kWinogradLowMemBuffers,
@@ -507,7 +432,6 @@ inline constexpr Schedule kWinogradInPlace{
     detail::kWinogradInPlaceTemps,
     static_cast<int>(sizeof(detail::kWinogradInPlaceTemps) / sizeof(Operand)),
     /*declared_temp_peak=*/1,
-    /*uses_fused_kernels=*/false,
     /*overwrites_inputs=*/true,
 };
 
@@ -519,15 +443,13 @@ inline constexpr Schedule kWinogradAccum{
     detail::kWinogradTemps,
     static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
     /*declared_temp_peak=*/3,
-    /*uses_fused_kernels=*/false,
     /*overwrites_inputs=*/false,
     /*accumulates_c=*/true,
 };
 
 // All shipped schedules, for the verifier CLI and tests.
 inline constexpr const Schedule* kShippedSchedules[] = {
-    &kWinograd, &kWinogradFusedL1, &kWinogradLowMem, &kWinogradInPlace,
-    &kWinogradAccum};
-inline constexpr int kShippedScheduleCount = 5;
+    &kWinograd, &kWinogradLowMem, &kWinogradInPlace, &kWinogradAccum};
+inline constexpr int kShippedScheduleCount = 4;
 
 }  // namespace strassen::analysis

@@ -3,7 +3,6 @@
 #include "analysis/schedule_verify.hpp"
 
 #include <sstream>
-#include <utility>
 
 namespace strassen::analysis {
 
@@ -19,14 +18,6 @@ static_assert(verify_core(kWinograd).temp_peak == 3,
 static_assert(verify_core(kWinograd).products == 7 &&
                   verify_core(kWinograd).linear_ops == 15,
               "shipped Winograd schedule must be 7 products + 15 additions");
-static_assert(verify_core(kWinogradFusedL1).violation == Violation::kNone,
-              "shipped fused level-1 schedule failed symbolic verification");
-static_assert(verify_core(kWinogradFusedL1).temp_peak == 3 &&
-                  verify_core(kWinogradFusedL1).products == 7 &&
-                  verify_core(kWinogradFusedL1).fused_products == 3 &&
-                  verify_core(kWinogradFusedL1).linear_ops == 11,
-              "shipped fused level-1 schedule must be 7 products (3 fused) "
-              "+ 11 additions with a 3-temporary peak");
 static_assert(verify_core(kWinogradLowMem).violation == Violation::kNone,
               "shipped low-memory schedule failed symbolic verification");
 static_assert(verify_core(kWinogradLowMem).temp_peak == 2 &&
@@ -81,23 +72,6 @@ std::string step_render(const Step& s) {
     case StepKind::kMul:
       os << dst << " = " << operand_name(s.a0) << " . " << operand_name(s.b0);
       break;
-    case StepKind::kMulFusedA:
-      os << dst << " = (" << operand_name(s.a0)
-         << (s.asign == Sign::kPlus ? " + " : " - ") << operand_name(s.a1)
-         << ") . " << operand_name(s.b0);
-      break;
-    case StepKind::kMulFusedB:
-      os << dst << " = " << operand_name(s.a0) << " . ("
-         << operand_name(s.b0) << (s.bsign == Sign::kPlus ? " + " : " - ")
-         << operand_name(s.b1) << ")";
-      break;
-    case StepKind::kMulFusedAB:
-      os << dst << " = (" << operand_name(s.a0)
-         << (s.asign == Sign::kPlus ? " + " : " - ") << operand_name(s.a1)
-         << ") . (" << operand_name(s.b0)
-         << (s.bsign == Sign::kPlus ? " + " : " - ") << operand_name(s.b1)
-         << ")";
-      break;
   }
   return os.str();
 }
@@ -133,12 +107,6 @@ SymState forward_diagnose(const Schedule& sched,
             "overwrites_inputs";
       errors.push_back(os.str());
       continue;
-    }
-    if (is_fused(s.kind) && !sched.uses_fused_kernels) {
-      std::ostringstream os;
-      os << step_label(sched, i)
-         << ": fused product in a table not marked uses_fused_kernels";
-      errors.push_back(os.str());
     }
     const detail::ReadSet reads = detail::step_reads(s);
     if (is_product(s.kind)) {
@@ -316,69 +284,13 @@ VerifyResult verify_schedule(const Schedule& sched) {
   }
 
   for (int i = 0; i < sched.step_count; ++i) {
-    if (is_product(sched.steps[i].kind)) {
+    if (is_product(sched.steps[i].kind))
       ++out.products;
-      if (is_fused(sched.steps[i].kind)) ++out.fused_products;
-    } else {
+    else
       ++out.linear_ops;
-    }
   }
   out.ok = out.errors.empty();
   return out;
-}
-
-namespace {
-
-// Products of a schedule in execution order: (note, rendered step, bilinear
-// form each computes), by symbolic forward execution.
-struct ProductTerm {
-  int step;
-  std::string note;
-  std::string rendered;
-  Bilinear bil;
-};
-
-std::vector<ProductTerm> collect_products(const Schedule& sched) {
-  std::vector<ProductTerm> out;
-  SymState st = detail::initial_state();
-  for (int i = 0; i < sched.step_count; ++i) {
-    const Step& s = sched.steps[i];
-    Operand bad = Operand::kNone;
-    if (detail::step_shape_check(s, &bad) != Violation::kNone) continue;
-    detail::sym_apply(s, st);
-    if (is_product(s.kind))
-      out.push_back(ProductTerm{i, s.note, step_render(s),
-                                st.slot[static_cast<int>(s.dst)].bil});
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::string> check_fused_products(const Schedule& fused,
-                                              const Schedule& reference) {
-  std::vector<std::string> errors;
-  const std::vector<ProductTerm> f = collect_products(fused);
-  const std::vector<ProductTerm> r = collect_products(reference);
-  for (const ProductTerm& p : f) {
-    bool found = false;
-    for (const ProductTerm& q : r) {
-      if (p.bil == q.bil) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::ostringstream os;
-      os << fused.name << " step " << p.step << " (" << p.note << "): product '"
-         << p.rendered << "' computes " << bilinear_to_string(p.bil)
-         << ", which no product of " << reference.name
-         << " computes -- the fused entry is not a re-association of a "
-            "materialized product";
-      errors.push_back(os.str());
-    }
-  }
-  return errors;
 }
 
 }  // namespace strassen::analysis

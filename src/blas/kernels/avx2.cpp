@@ -8,11 +8,6 @@
 // broadcast = 15 of 16 ymm, the classic double-precision blocking for
 // 16-register AVX2.
 //
-// Operand loaders abstract A and B access so the same blocks serve the plain
-// kernel and the fused Winograd kernels, which form (A1 +/- A2) or
-// (B1 +/- B2) on the fly instead of reading a materialized temporary -- the
-// BLIS-Strassen trick of fusing the quadrant sums into the kernel pass.
-//
 // Columns are contiguous in column-major storage, so A loads are plain
 // unaligned vector loads for ANY leading dimension; Morton leaf operands are
 // additionally contiguous (ld == rows) and 64-byte aligned, which is the
@@ -46,12 +41,12 @@ inline std::size_t off(int ld, int col) {
   return static_cast<std::size_t>(ld) * col;
 }
 
-// ---- operand loaders ------------------------------------------------------
+// ---- operand views --------------------------------------------------------
 // load4 reads four rows of column p; load4m reads only the lanes set in
 // `mask` (the rest read as zero), so a row remainder never touches memory
 // past row m -- not even within the same cache line.
 
-struct APlain {
+struct AView {
   const double* a;
   int lda;
   __m256d load4(int i, int p) const { return _mm256_loadu_pd(a + off(lda, p) + i); }
@@ -60,39 +55,10 @@ struct APlain {
   }
 };
 
-template <bool kSub>
-struct AFused {
-  const double* a1;
-  const double* a2;
-  int lda;
-  static __m256d op(__m256d x, __m256d y) {
-    return kSub ? _mm256_sub_pd(x, y) : _mm256_add_pd(x, y);
-  }
-  __m256d load4(int i, int p) const {
-    return op(_mm256_loadu_pd(a1 + off(lda, p) + i),
-              _mm256_loadu_pd(a2 + off(lda, p) + i));
-  }
-  __m256d load4m(int i, int p, __m256i mask) const {
-    return op(_mm256_maskload_pd(a1 + off(lda, p) + i, mask),
-              _mm256_maskload_pd(a2 + off(lda, p) + i, mask));
-  }
-};
-
-struct BPlain {
+struct BView {
   const double* b;
   int ldb;
   double at(int p, int j) const { return b[off(ldb, j) + p]; }
-};
-
-template <bool kSub>
-struct BFused {
-  const double* b1;
-  const double* b2;
-  int ldb;
-  double at(int p, int j) const {
-    return kSub ? b1[off(ldb, j) + p] - b2[off(ldb, j) + p]
-                : b1[off(ldb, j) + p] + b2[off(ldb, j) + p];
-  }
 };
 
 // Lanes [0, rows) of a four-lane vector, rows in 1..4.
@@ -108,9 +74,9 @@ inline __m256i lane_mask(int rows) {
 // The fixed-trip loops are unrolled early (#pragma GCC unroll) so that
 // `acc` is scalarized into registers: otherwise GCC keeps the array on the
 // stack for the epilogue and spills every accumulator after the k-loop.
-template <int MV, int NR, bool kTail, class AL, class BL>
-void block(const AL& A, const BL& B, int k, double* C, int ldc, LeafMode mode,
-           double alpha, int i, int j, __m256i mask) {
+template <int MV, int NR, bool kTail>
+void block(const AView& A, const BView& B, int k, double* C, int ldc,
+           LeafMode mode, double alpha, int i, int j, __m256i mask) {
   auto masked = [](int v) { return kTail && v == MV - 1; };
   __m256d acc[NR][MV];
   #pragma GCC unroll 16
@@ -156,8 +122,8 @@ void block(const AL& A, const BL& B, int k, double* C, int ldc, LeafMode mode,
 
 // The last `rows` (1..4 MV) rows of a panel: one block of ceil(rows / 4)
 // vectors, the last one masked.
-template <int MV, int NR, class AL, class BL>
-void tail_block(const AL& A, const BL& B, int k, double* C, int ldc,
+template <int MV, int NR>
+void tail_block(const AView& A, const BView& B, int k, double* C, int ldc,
                 LeafMode mode, double alpha, int i, int j, int rows) {
   if constexpr (MV > 1) {
     if (rows <= 4 * (MV - 1)) {
@@ -171,8 +137,8 @@ void tail_block(const AL& A, const BL& B, int k, double* C, int ldc,
 
 // Columns [j, j + NR) over all m rows: full blocks of MV row vectors, then
 // the row remainder as one masked tail block.
-template <int MV, int NR, class AL, class BL>
-void panel(const AL& A, const BL& B, int m, int k, double* C, int ldc,
+template <int MV, int NR>
+void panel(const AView& A, const BView& B, int m, int k, double* C, int ldc,
            LeafMode mode, double alpha, int j) {
   int i = 0;
   for (; i + 4 * MV <= m; i += 4 * MV)
@@ -183,9 +149,9 @@ void panel(const AL& A, const BL& B, int m, int k, double* C, int ldc,
 // The column remainder: R = n % NR columns starting at j, as one panel of
 // width R whose blocks are tall enough (ceil(8 / R) row vectors) to keep at
 // least eight independent FMA chains in flight.
-template <int NR, int R = 1, class AL, class BL>
-void edge_panel(const AL& A, const BL& B, int m, int k, double* C, int ldc,
-                LeafMode mode, double alpha, int j, int r) {
+template <int NR, int R = 1>
+void edge_panel(const AView& A, const BView& B, int m, int k, double* C,
+                int ldc, LeafMode mode, double alpha, int j, int r) {
   if constexpr (R < NR) {
     if (r == R) {
       panel<(8 + R - 1) / R, R>(A, B, m, k, C, ldc, mode, alpha, j);
@@ -198,9 +164,8 @@ void edge_panel(const AL& A, const BL& B, int m, int k, double* C, int ldc,
 // C {=, +=} alpha * A.B over m x n.  The full 8x6 blocks run as one flat
 // loop rather than through panel(), which measured 2-5% slower at T <= 32;
 // the remainders follow.
-template <class AL, class BL>
-void gemm_main(int m, int n, int k, const AL& A, const BL& B, double* C,
-               int ldc, LeafMode mode, double alpha) {
+void gemm_main(int m, int n, int k, const AView& A, const BView& B,
+               double* C, int ldc, LeafMode mode, double alpha) {
   constexpr int MV = 2, NR = 6;  // 8 rows = two ymm vectors
   const int mM = m - m % (4 * MV);
   const int nN = n - n % NR;
@@ -217,51 +182,7 @@ void gemm_main(int m, int n, int k, const AL& A, const BL& B, double* C,
 
 void avx2_gemm(int m, int n, int k, const double* A, int lda, const double* B,
                int ldb, double* C, int ldc, LeafMode mode, double alpha) {
-  gemm_main(m, n, k, APlain{A, lda}, BPlain{B, ldb}, C, ldc, mode, alpha);
-}
-
-void avx2_gemm_fused_a(int m, int n, int k, const double* A1, const double* A2,
-                       FusedOp opa, int lda, const double* B, int ldb,
-                       double* C, int ldc) {
-  const BPlain b{B, ldb};
-  if (opa == FusedOp::kSub)
-    gemm_main(m, n, k, AFused<true>{A1, A2, lda}, b, C, ldc,
-                  LeafMode::Overwrite, 1.0);
-  else
-    gemm_main(m, n, k, AFused<false>{A1, A2, lda}, b, C, ldc,
-                  LeafMode::Overwrite, 1.0);
-}
-
-void avx2_gemm_fused_b(int m, int n, int k, const double* A, int lda,
-                       const double* B1, const double* B2, FusedOp opb,
-                       int ldb, double* C, int ldc) {
-  const APlain a{A, lda};
-  if (opb == FusedOp::kSub)
-    gemm_main(m, n, k, a, BFused<true>{B1, B2, ldb}, C, ldc,
-                  LeafMode::Overwrite, 1.0);
-  else
-    gemm_main(m, n, k, a, BFused<false>{B1, B2, ldb}, C, ldc,
-                  LeafMode::Overwrite, 1.0);
-}
-
-void avx2_gemm_fused_ab(int m, int n, int k, const double* A1,
-                        const double* A2, FusedOp opa, int lda,
-                        const double* B1, const double* B2, FusedOp opb,
-                        int ldb, double* C, int ldc) {
-  auto run = [&](auto a, auto b) {
-    gemm_main(m, n, k, a, b, C, ldc, LeafMode::Overwrite, 1.0);
-  };
-  if (opa == FusedOp::kSub) {
-    if (opb == FusedOp::kSub)
-      run(AFused<true>{A1, A2, lda}, BFused<true>{B1, B2, ldb});
-    else
-      run(AFused<true>{A1, A2, lda}, BFused<false>{B1, B2, ldb});
-  } else {
-    if (opb == FusedOp::kSub)
-      run(AFused<false>{A1, A2, lda}, BFused<true>{B1, B2, ldb});
-    else
-      run(AFused<false>{A1, A2, lda}, BFused<false>{B1, B2, ldb});
-  }
+  gemm_main(m, n, k, AView{A, lda}, BView{B, ldb}, C, ldc, mode, alpha);
 }
 
 // ---- element-wise quadrant kernels ---------------------------------------
@@ -306,9 +227,6 @@ constexpr LeafKernels kTable = {
     /*mr=*/8,
     /*nr=*/6,
     avx2_gemm,
-    avx2_gemm_fused_a,
-    avx2_gemm_fused_b,
-    avx2_gemm_fused_ab,
     avx2_vadd,
     avx2_vsub,
     avx2_vadd_inplace,

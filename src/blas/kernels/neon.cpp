@@ -9,8 +9,7 @@
 // The kernel is a 4x4 register block (8 q-register accumulators + 2 A
 // vectors + broadcast), the direct NEON analogue of the scalar kernel's
 // blocking.  Edges run a column-strip path: one column at a time, two-row
-// vectors, scalar row tail.  Fused entries are provided for the Winograd
-// sum-into-leaf path.
+// vectors, scalar row tail.
 #include "blas/kernels/registry.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -32,37 +31,10 @@ struct APlain {
   double at(int i, int p) const { return a[off(lda, p) + i]; }
 };
 
-template <bool kSub>
-struct AFused {
-  const double* a1;
-  const double* a2;
-  int lda;
-  float64x2_t load2(int i, int p) const {
-    const float64x2_t x = vld1q_f64(a1 + off(lda, p) + i);
-    const float64x2_t y = vld1q_f64(a2 + off(lda, p) + i);
-    return kSub ? vsubq_f64(x, y) : vaddq_f64(x, y);
-  }
-  double at(int i, int p) const {
-    return kSub ? a1[off(lda, p) + i] - a2[off(lda, p) + i]
-                : a1[off(lda, p) + i] + a2[off(lda, p) + i];
-  }
-};
-
 struct BPlain {
   const double* b;
   int ldb;
   double at(int p, int j) const { return b[off(ldb, j) + p]; }
-};
-
-template <bool kSub>
-struct BFused {
-  const double* b1;
-  const double* b2;
-  int ldb;
-  double at(int p, int j) const {
-    return kSub ? b1[off(ldb, j) + p] - b2[off(ldb, j) + p]
-                : b1[off(ldb, j) + p] + b2[off(ldb, j) + p];
-  }
 };
 
 // One 4x4 block at (i, j): 8 accumulators of 2 lanes.
@@ -134,50 +106,6 @@ void neon_gemm(int m, int n, int k, const double* A, int lda, const double* B,
   gemm_main(m, n, k, APlain{A, lda}, BPlain{B, ldb}, C, ldc, mode, alpha);
 }
 
-void neon_gemm_fused_a(int m, int n, int k, const double* A1, const double* A2,
-                       FusedOp opa, int lda, const double* B, int ldb,
-                       double* C, int ldc) {
-  const BPlain b{B, ldb};
-  if (opa == FusedOp::kSub)
-    gemm_main(m, n, k, AFused<true>{A1, A2, lda}, b, C, ldc,
-              LeafMode::Overwrite, 1.0);
-  else
-    gemm_main(m, n, k, AFused<false>{A1, A2, lda}, b, C, ldc,
-              LeafMode::Overwrite, 1.0);
-}
-
-void neon_gemm_fused_b(int m, int n, int k, const double* A, int lda,
-                       const double* B1, const double* B2, FusedOp opb,
-                       int ldb, double* C, int ldc) {
-  const APlain a{A, lda};
-  if (opb == FusedOp::kSub)
-    gemm_main(m, n, k, a, BFused<true>{B1, B2, ldb}, C, ldc,
-              LeafMode::Overwrite, 1.0);
-  else
-    gemm_main(m, n, k, a, BFused<false>{B1, B2, ldb}, C, ldc,
-              LeafMode::Overwrite, 1.0);
-}
-
-void neon_gemm_fused_ab(int m, int n, int k, const double* A1,
-                        const double* A2, FusedOp opa, int lda,
-                        const double* B1, const double* B2, FusedOp opb,
-                        int ldb, double* C, int ldc) {
-  auto run = [&](auto a, auto b) {
-    gemm_main(m, n, k, a, b, C, ldc, LeafMode::Overwrite, 1.0);
-  };
-  if (opa == FusedOp::kSub) {
-    if (opb == FusedOp::kSub)
-      run(AFused<true>{A1, A2, lda}, BFused<true>{B1, B2, ldb});
-    else
-      run(AFused<true>{A1, A2, lda}, BFused<false>{B1, B2, ldb});
-  } else {
-    if (opb == FusedOp::kSub)
-      run(AFused<false>{A1, A2, lda}, BFused<true>{B1, B2, ldb});
-    else
-      run(AFused<false>{A1, A2, lda}, BFused<false>{B1, B2, ldb});
-  }
-}
-
 void neon_vadd(std::size_t n, double* dst, const double* a, const double* b) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2)
@@ -212,9 +140,6 @@ constexpr LeafKernels kTable = {
     /*mr=*/4,
     /*nr=*/4,
     neon_gemm,
-    neon_gemm_fused_a,
-    neon_gemm_fused_b,
-    neon_gemm_fused_ab,
     neon_vadd,
     neon_vsub,
     neon_vadd_inplace,

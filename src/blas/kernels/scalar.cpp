@@ -3,9 +3,6 @@
 // The gemm entry is exactly the generic 4x4 register-blocked template
 // instantiated on RawMem, so STRASSEN_KERNEL=scalar reproduces the seed
 // library bit for bit (and matches what TracingMem executions compute).
-// For the same reason the fused entries are null: with the scalar table
-// active, the Winograd recursion materializes its operand sums through the
-// level-1 kernels exactly as the seed schedule did.
 //
 // The element-wise kernels branch on the exact-alias contract (dst == a or
 // dst == b is allowed) and run restrict-qualified std::size_t loops on the
@@ -74,9 +71,6 @@ constexpr LeafKernels kTable = {
     /*mr=*/4,
     /*nr=*/4,
     scalar_gemm,
-    /*gemm_fused_a=*/nullptr,
-    /*gemm_fused_b=*/nullptr,
-    /*gemm_fused_ab=*/nullptr,
     scalar_vadd,
     scalar_vsub,
     scalar_vadd_inplace,

@@ -4,13 +4,14 @@
 // buffers so every recursion operand is a contiguous tile.  The pack-fused
 // strategy (core/packfused.hpp) instead runs the Winograd schedule straight
 // from the caller's column-major storage; wherever a leaf product needs an
-// operand the kernels cannot consume in place -- a transposed source, a
-// boundary tile that must be zero-padded, or a Winograd operand sum
-// (A_i ± A_j) -- these routines gather it into a dense 64-byte-aligned
-// panel, folding the transpose, the zero padding, the ± combination, and an
-// optional alpha scale into the single pass (Huang et al., "Implementing
-// Strassen's Algorithm with BLIS": the operand additions ride along with the
-// packing traffic instead of costing separate sweeps).
+// operand the kernel cannot consume in place -- a transposed source, a
+// boundary tile that must be zero-padded, or a widely strided view --
+// pack_panel gathers it into a dense 64-byte-aligned panel, folding the
+// transpose, the zero padding and an optional alpha scale into the single
+// pass.  pack_panel_sum additionally folds a ± combination of two sources
+// into that pass (Huang et al., "Implementing Strassen's Algorithm with
+// BLIS"); the pack-fused strategy does not call it -- its operand sums are
+// the schedule's element-wise steps.
 //
 // A packed panel holds EXACTLY the values the Morton conversion would have
 // staged for the same tile (same single add/sub per element, zeros in the

@@ -11,9 +11,12 @@
 //     matrix, a recursion temporary, or a C-quadrant window; zero padding is
 //     a property of the view (reads outside the stored extent return 0,
 //     stores outside it are dropped), never a materialized buffer;
-//   * at the leaves, operands the kernels cannot consume in place --
-//     transposed sources, boundary tiles needing zero fill, Winograd operand
-//     sums (A_i +- A_j) -- are gathered by blas/pack.hpp into dense
+//   * the Winograd operand sums (A_i +- A_j) are the schedule's own
+//     element-wise steps, run over the clipped views into quadrant
+//     temporaries exactly as over Morton storage;
+//   * at the leaves, operands the kernel cannot consume in place --
+//     transposed sources, boundary tiles needing zero fill, widely strided
+//     views -- are gathered by blas/pack.hpp into dense
 //     64-byte-aligned panels drawn from the per-thread arena pool; interior
 //     untransposed views pass straight through (the kernels take a leading
 //     dimension), so packing traffic concentrates at the boundary;
@@ -50,12 +53,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
 
 #include "analysis/schedule.hpp"
 #include "blas/gemm.hpp"
 #include "blas/kernels.hpp"
-#include "blas/kernels/registry.hpp"
 #include "blas/pack.hpp"
 #include "common/arena.hpp"
 #include "common/check.hpp"
@@ -123,25 +124,18 @@ inline PackSrc<T> quad(const PackSrc<T>& v, int r0, int c0, int hr, int hc) {
 
 namespace detail {
 
-constexpr blas::kernels::FusedOp fused_op(analysis::Sign s) {
-  return s == analysis::Sign::kMinus ? blas::kernels::FusedOp::kSub
-                                     : blas::kernels::FusedOp::kAdd;
-}
-
-// One side of a leaf product, presented the way the kernel entries expect:
-// source pointer(s) sharing one leading dimension.  Views the kernels can
-// read in place pass through; everything else is packed into arena panels
+// One side of a leaf product, presented the way the kernel's gemm entry
+// expects: a source pointer and its leading dimension.  Views the kernel can
+// read in place pass through; everything else is packed into an arena panel
 // holding exactly the values the Morton conversion would have staged.
 template <class T>
 struct LeafSide {
-  const T* p0 = nullptr;
-  const T* p1 = nullptr;
+  const T* p = nullptr;
   int ld = 0;
 };
 
 template <class T>
-LeafSide<T> stage_side(const PackSrc<T>& s0, const PackSrc<T>* s1, int pr,
-                       int pc, Arena& arena) {
+LeafSide<T> stage_side(const PackSrc<T>& s, int pr, int pc, Arena& arena) {
   // Wide-strided covering views are packed anyway: with ld > 2*pr each
   // cache line fetched for a panel column carries under half useful data,
   // so a kernel reading the view in place more than doubles its working
@@ -149,45 +143,22 @@ LeafSide<T> stage_side(const PackSrc<T>& s0, const PackSrc<T>* s1, int pr,
   // exactly and stay cheap to read in place; user-matrix and top-level
   // temp reads with ld of several multiples of pr do not).  One packing
   // pass pays that cost once instead of on every kernel sweep.
-  auto wide = [&](const PackSrc<T>& s) { return s.ld > 2 * pr; };
-  LeafSide<T> out;
-  const bool in_place =
-      s1 == nullptr ? (s0.covers(pr, pc) && !wide(s0))
-                    : (s0.covers(pr, pc) && s1->covers(pr, pc) &&
-                       !s0.trans && !s1->trans && s0.ld == s1->ld &&
-                       !wide(s0) && !wide(*s1));
-  if (in_place) {
-    out.p0 = s0.ptr;
-    out.p1 = s1 != nullptr ? s1->ptr : nullptr;
-    out.ld = s0.ld;
-    return out;
-  }
-  T* panel0 = arena.push<T>(static_cast<std::size_t>(pr) * pc);
-  blas::pack_panel(panel0, pr, pc, s0);
-  out.p0 = panel0;
-  out.ld = pr;
-  if (s1 != nullptr) {
-    T* panel1 = arena.push<T>(static_cast<std::size_t>(pr) * pc);
-    blas::pack_panel(panel1, pr, pc, *s1);
-    out.p1 = panel1;
-  }
-  return out;
+  if (s.covers(pr, pc) && s.ld <= 2 * pr) return {s.ptr, s.ld};
+  T* panel = arena.push<T>(static_cast<std::size_t>(pr) * pc);
+  blas::pack_panel(panel, pr, pc, s);
+  return {panel, pr};
 }
 
 // One leaf product: dst(real dr x dc window of the tm x tn tile, leading
-// dimension ldd) = (a0 [asign a1]) . (b0 [bsign b1]).  Fused partners are
-// only ever present when the caller selected the fused-L1 table, i.e. when
-// `fused` points at a kernel table publishing the fused entries.  Values the
-// clipped destination drops are exact zeros (padding invariant).
+// dimension ldd) = a0 . b0.  Values the clipped destination drops are exact
+// zeros (padding invariant).
 template <class T>
 void leaf_product(T* dst, int ldd, int dr, int dc, const PackSrc<T>& a0,
-                  const PackSrc<T>* a1, analysis::Sign asign,
-                  const PackSrc<T>& b0, const PackSrc<T>* b1,
-                  analysis::Sign bsign, int tm, int tk, int tn, Arena& arena,
-                  const blas::kernels::LeafKernels* fused) {
+                  const PackSrc<T>& b0, int tm, int tk, int tn,
+                  Arena& arena) {
   Arena::Frame frame(arena);
-  const LeafSide<T> a = stage_side(a0, a1, tm, tk, arena);
-  const LeafSide<T> b = stage_side(b0, b1, tk, tn, arena);
+  const LeafSide<T> a = stage_side(a0, tm, tk, arena);
+  const LeafSide<T> b = stage_side(b0, tk, tn, arena);
   T* cptr = dst;
   int ldc = ldd;
   const bool clipped = dr < tm || dc < tn;
@@ -195,30 +166,9 @@ void leaf_product(T* dst, int ldd, int dr, int dc, const PackSrc<T>& a0,
     cptr = arena.push<T>(static_cast<std::size_t>(tm) * tn);
     ldc = tm;
   }
-  if (a1 != nullptr || b1 != nullptr) {
-    if constexpr (std::is_same_v<T, double>) {
-      STRASSEN_REQUIRE(fused != nullptr,
-                       "fused leaf product without a fused kernel table");
-      obs::LeafTimer lt(/*fused=*/true);
-      if (a1 != nullptr && b1 != nullptr) {
-        fused->gemm_fused_ab(tm, tn, tk, a.p0, a.p1, fused_op(asign), a.ld,
-                             b.p0, b.p1, fused_op(bsign), b.ld, cptr, ldc);
-      } else if (a1 != nullptr) {
-        fused->gemm_fused_a(tm, tn, tk, a.p0, a.p1, fused_op(asign), a.ld,
-                            b.p0, b.ld, cptr, ldc);
-      } else {
-        fused->gemm_fused_b(tm, tn, tk, a.p0, a.ld, b.p0, b.p1,
-                            fused_op(bsign), b.ld, cptr, ldc);
-      }
-    } else {
-      STRASSEN_REQUIRE(false,
-                       "fused leaf product in a non-double instantiation");
-    }
-  } else {
-    RawMem raw;
-    blas::gemm_leaf(raw, tm, tn, tk, a.p0, a.ld, b.p0, b.ld, cptr, ldc,
-                    blas::LeafMode::Overwrite);
-  }
+  RawMem raw;
+  blas::gemm_leaf(raw, tm, tn, tk, a.p, a.ld, b.p, b.ld, cptr, ldc,
+                  blas::LeafMode::Overwrite);
   if (clipped) {
     // Unpack: the real window takes the product; the padded remainder holds
     // exact zeros and is dropped.
@@ -243,9 +193,7 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
   using analysis::Operand;
   using analysis::StepKind;
   if (depth == 0) {
-    detail::leaf_product<T>(C, ldc, crows, ccols, A, nullptr,
-                            analysis::Sign::kPlus, B, nullptr,
-                            analysis::Sign::kPlus, tm, tk, tn, arena, nullptr);
+    detail::leaf_product<T>(C, ldc, crows, ccols, A, B, tm, tk, tn, arena);
     return;
   }
   const int d1 = depth - 1;
@@ -255,23 +203,11 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
 
   // Table selection: identical to winograd_recurse.  The low-mem family (and
   // the sub-levels of in-place, already mapped to low-mem) runs the 2-buffer
-  // table everywhere; the default family fuses level 1 exactly when the
-  // active kernel publishes the fused entries.
+  // table, the default family the paper's schedule.
   const bool low_mem = family == analysis::ScheduleFamily::kLowMem ||
                        family == analysis::ScheduleFamily::kInPlace;
-  const analysis::Schedule* sched =
-      low_mem ? &analysis::kWinogradLowMem : &analysis::kWinograd;
-  const blas::kernels::LeafKernels* fused_tab = nullptr;
-  if constexpr (std::is_same_v<T, double>) {
-    if (d1 == 0 && !low_mem) {
-      const blas::kernels::LeafKernels& tab = blas::kernels::active();
-      if (tab.gemm_fused_a != nullptr && tab.gemm_fused_b != nullptr &&
-          tab.gemm_fused_ab != nullptr) {
-        sched = &analysis::kWinogradFusedL1;
-        fused_tab = &tab;
-      }
-    }
-  }
+  const analysis::Schedule& sched =
+      low_mem ? analysis::kWinogradLowMem : analysis::kWinograd;
 
   // Operand slot tables: a read view per slot, a writable base for C
   // quadrants and temporaries.  Writable slots are never transposed and
@@ -312,17 +248,16 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
                  : s == analysis::Shape::kB ? static_cast<std::size_t>(hk) * hn
                                             : static_cast<std::size_t>(hm) * hn;
     };
-    constexpr int kMaxTemps = 6;
-    std::size_t buf_elems[kMaxTemps] = {};
-    T* bufs[kMaxTemps] = {};
-    const int nbuf = analysis::temp_buffer_count(*sched);
-    for (int i = 0; i < sched->temp_count; ++i) {
-      const int b = analysis::temp_buffer_id(*sched, i);
-      buf_elems[b] = std::max(buf_elems[b], shape_elems(sched->temps[i]));
+    std::size_t buf_elems[analysis::kMaxTemps] = {};
+    T* bufs[analysis::kMaxTemps] = {};
+    const int nbuf = analysis::temp_buffer_count(sched);
+    for (int i = 0; i < sched.temp_count; ++i) {
+      const int b = analysis::temp_buffer_id(sched, i);
+      buf_elems[b] = std::max(buf_elems[b], shape_elems(sched.temps[i]));
     }
     for (int b = 0; b < nbuf; ++b) bufs[b] = arena.push<T>(buf_elems[b]);
-    for (int i = 0; i < sched->temp_count; ++i) {
-      const Operand t = sched->temps[i];
+    for (int i = 0; i < sched.temp_count; ++i) {
+      const Operand t = sched.temps[i];
       const analysis::Shape s = analysis::shape_of(t);
       const int rows = s == analysis::Shape::kA ? hm
                        : s == analysis::Shape::kB ? hk
@@ -330,7 +265,7 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
       const int cols = s == analysis::Shape::kA ? hk
                        : s == analysis::Shape::kB ? hn
                                                   : hn;
-      T* base = bufs[analysis::temp_buffer_id(*sched, i)];
+      T* base = bufs[analysis::temp_buffer_id(sched, i)];
       rd[idx(t)] = PackSrc<T>{base, rows, false, rows, cols};
       wr[idx(t)] = base;
     }
@@ -416,8 +351,8 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
     }
   };
 
-  for (int i = 0; i < sched->step_count; ++i) {
-    const analysis::Step& s = sched->steps[i];
+  for (int i = 0; i < sched.step_count; ++i) {
+    const analysis::Step& s = sched.steps[i];
     switch (s.kind) {
       case StepKind::kAdd:
       case StepKind::kSub:
@@ -432,28 +367,11 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
         const PackSrc<T>& dv = rd[idx(s.dst)];
         if (d1 == 0) {
           detail::leaf_product<T>(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)],
-                                  nullptr, s.asign, rd[idx(s.b0)], nullptr,
-                                  s.bsign, tm, tk, tn, arena, fused_tab);
+                                  rd[idx(s.b0)], tm, tk, tn, arena);
         } else {
           recurse(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)], rd[idx(s.b0)],
                   tm, tk, tn, d1, arena, family);
         }
-        break;
-      }
-      case StepKind::kMulFusedA:
-      case StepKind::kMulFusedB:
-      case StepKind::kMulFusedAB: {
-        T* dst = wr[idx(s.dst)];
-        STRASSEN_REQUIRE(dst != nullptr && d1 == 0,
-                         "fused schedule step outside a fused-capable level");
-        const PackSrc<T>& dv = rd[idx(s.dst)];
-        const PackSrc<T>* a1 =
-            s.kind != StepKind::kMulFusedB ? &rd[idx(s.a1)] : nullptr;
-        const PackSrc<T>* b1 =
-            s.kind != StepKind::kMulFusedA ? &rd[idx(s.b1)] : nullptr;
-        detail::leaf_product(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)], a1,
-                             s.asign, rd[idx(s.b0)], b1, s.bsign, tm, tk, tn,
-                             arena, fused_tab);
         break;
       }
     }
@@ -493,10 +411,10 @@ inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
   const std::size_t tm = static_cast<std::size_t>(plan.m.tile);
   const std::size_t tk = static_cast<std::size_t>(plan.k.tile);
   const std::size_t tn = static_cast<std::size_t>(plan.n.tile);
-  // Worst-case leaf frame: both A sources packed, both B sources packed, and
-  // a clipped destination staging panel.
-  total = checked_add(total, 2 * r64(checked_mul(tm, tk) * elem_size));
-  total = checked_add(total, 2 * r64(checked_mul(tk, tn) * elem_size));
+  // Worst-case leaf frame: the A and B operands packed, and a clipped
+  // destination staging panel.
+  total = checked_add(total, r64(checked_mul(tm, tk) * elem_size));
+  total = checked_add(total, r64(checked_mul(tk, tn) * elem_size));
   total = checked_add(total, r64(checked_mul(tm, tn) * elem_size));
   if (c_scratch) {
     const std::size_t pmn = checked_mul(static_cast<std::size_t>(plan.m.padded),

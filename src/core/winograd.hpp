@@ -19,28 +19,21 @@
 // and the 3-temporary liveness peak.  See docs/ANALYSIS.md for the table
 // format and the exact guarantees.
 //
-// At the last level before the leaves, the production engine can fuse the
-// operand combinations that feed exactly one product into the product
-// itself (S3/T3 into P5, -T4 into P7, S4 into P6), saving four full passes
-// over quadrant-sized temporaries per level-1 node; that variant is its own
-// verified table (analysis::kWinogradFusedL1).  The scalar table publishes
-// no fused entries, so STRASSEN_KERNEL=scalar (and every traced MemModel)
-// runs the materialized schedule with its exact rounding and address
-// stream -- bit-identical to the seed library.
+// Every operand sum is materialized once, by a contiguous vadd/vsub into a
+// quadrant-sized temporary, on every level, kernel and memory model: the
+// leaf products always receive plain contiguous tiles and run the kernel's
+// full-rate gemm entry.  For contiguous Morton quadrants that element-wise
+// pass is the packing step BLIS-style Strassen folds the sums into.
 #pragma once
 
 #include <cstdint>
 
-#include <type_traits>
-
 #include "analysis/schedule.hpp"
 #include "blas/kernels.hpp"
-#include "blas/kernels/registry.hpp"
 #include "blas/level1.hpp"
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/memmodel.hpp"
-#include "obs/collector.hpp"
 
 namespace strassen::core {
 
@@ -52,11 +45,6 @@ void winograd_recurse(
 
 namespace detail {
 
-constexpr blas::kernels::FusedOp fused_op(analysis::Sign s) {
-  return s == analysis::Sign::kMinus ? blas::kernels::FusedOp::kSub
-                                     : blas::kernels::FusedOp::kAdd;
-}
-
 // Executes one schedule level over concrete quadrant/temporary storage.
 // Pointer tables are indexed by analysis::Operand; `wr` is null for the
 // read-only input quadrants, which the verified tables never write
@@ -65,16 +53,8 @@ template <class MM, class T>
 class ScheduleInterpreter {
  public:
   ScheduleInterpreter(MM& mm, int tm, int tk, int tn, int d1,
-                      const blas::kernels::LeafKernels* fused_tab,
-                      analysis::ScheduleFamily family =
-                          analysis::ScheduleFamily::kWinograd)
-      : mm_(mm),
-        tm_(tm),
-        tk_(tk),
-        tn_(tn),
-        d1_(d1),
-        fused_tab_(fused_tab),
-        family_(family) {
+                      analysis::ScheduleFamily family)
+      : mm_(mm), tm_(tm), tk_(tk), tn_(tn), d1_(d1), family_(family) {
     for (int i = 0; i < analysis::kOperandCount; ++i) {
       rd_[i] = nullptr;
       wr_[i] = nullptr;
@@ -124,11 +104,6 @@ class ScheduleInterpreter {
           winograd_recurse(mm_, dst, rd_[idx(s.a0)], rd_[idx(s.b0)], tm_, tk_,
                            tn_, d1_, arena, family_);
           break;
-        case StepKind::kMulFusedA:
-        case StepKind::kMulFusedB:
-        case StepKind::kMulFusedAB:
-          run_fused(s, dst);
-          break;
       }
     }
   }
@@ -138,47 +113,8 @@ class ScheduleInterpreter {
     return static_cast<int>(op);
   }
 
-  // Fused products only exist for the production (RawMem, double)
-  // instantiation at d1 == 0, where operands are single contiguous leaf
-  // tiles; the plain tables selected for every other model never contain
-  // these step kinds.
-  void run_fused(const analysis::Step& s, T* dst) {
-    if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
-      using analysis::StepKind;
-      STRASSEN_REQUIRE(fused_tab_ != nullptr && d1_ == 0,
-                       "fused schedule step outside a fused-capable level");
-      obs::LeafTimer lt(/*fused=*/true);
-      switch (s.kind) {
-        case StepKind::kMulFusedA:
-          fused_tab_->gemm_fused_a(tm_, tn_, tk_, rd_[idx(s.a0)],
-                                   rd_[idx(s.a1)], fused_op(s.asign), tm_,
-                                   rd_[idx(s.b0)], tk_, dst, tm_);
-          break;
-        case StepKind::kMulFusedB:
-          fused_tab_->gemm_fused_b(tm_, tn_, tk_, rd_[idx(s.a0)], tm_,
-                                   rd_[idx(s.b0)], rd_[idx(s.b1)],
-                                   fused_op(s.bsign), tk_, dst, tm_);
-          break;
-        case StepKind::kMulFusedAB:
-          fused_tab_->gemm_fused_ab(tm_, tn_, tk_, rd_[idx(s.a0)],
-                                    rd_[idx(s.a1)], fused_op(s.asign), tm_,
-                                    rd_[idx(s.b0)], rd_[idx(s.b1)],
-                                    fused_op(s.bsign), tk_, dst, tm_);
-          break;
-        default:
-          break;
-      }
-    } else {
-      (void)s;
-      (void)dst;
-      STRASSEN_REQUIRE(false,
-                       "fused schedule step in a non-production instantiation");
-    }
-  }
-
   MM& mm_;
   int tm_, tk_, tn_, d1_;
-  const blas::kernels::LeafKernels* fused_tab_;
   analysis::ScheduleFamily family_;
   const T* rd_[analysis::kOperandCount];
   T* wr_[analysis::kOperandCount];
@@ -201,11 +137,10 @@ void push_and_bind_temps(ScheduleInterpreter<MM, T>& interp,
            : analysis::shape_of(t) == analysis::Shape::kB ? qb
                                                           : qc;
   };
-  constexpr int kMaxTemps = 6;  // kTS0..kTP1
-  STRASSEN_REQUIRE(sched.temp_count <= kMaxTemps,
+  STRASSEN_REQUIRE(sched.temp_count <= analysis::kMaxTemps,
                    "schedule declares more temporaries than slots exist");
-  std::size_t buf_elems[kMaxTemps] = {};
-  T* bufs[kMaxTemps] = {};
+  std::size_t buf_elems[analysis::kMaxTemps] = {};
+  T* bufs[analysis::kMaxTemps] = {};
   const int nbuf = analysis::temp_buffer_count(sched);
   for (int i = 0; i < sched.temp_count; ++i) {
     const int b = analysis::temp_buffer_id(sched, i);
@@ -227,9 +162,8 @@ void push_and_bind_temps(ScheduleInterpreter<MM, T>& interp,
 //   C: (tm<<depth) x (tn<<depth), leaf tiles tm x tn
 // `arena` must have winograd_workspace_bytes(tm,tk,tn,depth,...,family)
 // available.  `family` selects the schedule family per level: kWinograd is
-// the seed-exact default (3 temporaries, fused level-1 when the kernel
-// table publishes the entries), kLowMem the 2-buffer BDPZ tables.  kInPlace
-// here runs its DEEPER levels (the in-place top level is
+// the seed-exact default (3 temporaries), kLowMem the 2-buffer BDPZ tables.
+// kInPlace here runs its DEEPER levels (the in-place top level is
 // winograd_recurse_inplace, which needs writable operands).
 template <class MM, class T>
 void winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
@@ -246,31 +180,15 @@ void winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
   const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
   const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
 
-  // Table selection.  Default family: the materialized schedule everywhere,
-  // except the last level before the leaves of the production instantiation
-  // when the active kernel table publishes the fused entries (scalar does
-  // not, by design: the materialized table is the seed-exact path).  The
-  // low-mem family (and the sub-levels of the in-place family) run the
-  // 2-buffer table at every level -- the fused-L1 table needs all three
-  // temporaries live at once, which the shared buffer forbids.
+  // Table selection: the default family runs the paper's schedule at every
+  // level; the low-mem family (and the sub-levels of the in-place family)
+  // run the 2-buffer table.
   const bool low_mem = family == analysis::ScheduleFamily::kLowMem ||
                        family == analysis::ScheduleFamily::kInPlace;
-  const analysis::Schedule* sched =
-      low_mem ? &analysis::kWinogradLowMem : &analysis::kWinograd;
-  const blas::kernels::LeafKernels* fused_tab = nullptr;
-  if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
-    if (d1 == 0 && !low_mem) {
-      const blas::kernels::LeafKernels& tab = blas::kernels::active();
-      if (tab.gemm_fused_a != nullptr && tab.gemm_fused_b != nullptr &&
-          tab.gemm_fused_ab != nullptr) {
-        sched = &analysis::kWinogradFusedL1;
-        fused_tab = &tab;
-      }
-    }
-  }
+  const analysis::Schedule& sched =
+      low_mem ? analysis::kWinogradLowMem : analysis::kWinograd;
 
-  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, fused_tab,
-                                            family);
+  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, family);
 
   // Quadrants in memory order NW, NE, SW, SE == 11, 12, 21, 22.
   using analysis::Operand;
@@ -288,9 +206,9 @@ void winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
   interp.bind_output(Operand::kC22, C + 3 * qc, qc);
 
   Arena::Frame frame(arena);
-  detail::push_and_bind_temps(interp, *sched, arena, qa, qb, qc);
+  detail::push_and_bind_temps(interp, sched, arena, qa, qb, qc);
 
-  interp.run(*sched, arena);
+  interp.run(sched, arena);
 }
 
 // C = A * B with the TOP level running the in-place table: the Winograd
@@ -315,7 +233,7 @@ void winograd_recurse_inplace(MM& mm, T* C, T* A, T* B, int tm, int tk,
 
   const analysis::Schedule& sched = analysis::kWinogradInPlace;
   detail::ScheduleInterpreter<MM, T> interp(
-      mm, tm, tk, tn, d1, nullptr, analysis::ScheduleFamily::kInPlace);
+      mm, tm, tk, tn, d1, analysis::ScheduleFamily::kInPlace);
 
   using analysis::Operand;
   interp.bind_inout(Operand::kA11, A, qa);
@@ -358,8 +276,7 @@ void winograd_recurse_acc(MM& mm, T* C, const T* A, const T* B, int tm,
   const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
 
   const analysis::Schedule& sched = analysis::kWinogradAccum;
-  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, nullptr,
-                                            family);
+  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, family);
 
   using analysis::Operand;
   interp.bind_input(Operand::kA11, A, qa);

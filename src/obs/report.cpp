@@ -66,7 +66,9 @@ void put_string(std::ostream& os, const char* s) {
 // batched service core (core/batched.hpp); v6 added plan.algo (and the
 // "algo-fallback" workspace.fallback value) with an <m,k,n> algorithm-family
 // engine since retired -- plan.algo is now always "222" and the rung is
-// never emitted.
+// never emitted.  kernels.fused_calls counted leaf products that formed an
+// operand sum inside the micro-kernel; those entries are retired too, so it
+// is always 0.
 void write_json(std::ostream& os, const GemmReport& r) {
   os << "{\"schema\": \"strassen.gemm_report.v6\", ";
 
@@ -118,7 +120,7 @@ void write_json(std::ostream& os, const GemmReport& r) {
   os << ", \"variant\": ";
   put_string(os, r.kernel_variant[0] != '\0' ? r.kernel_variant : "auto");
   os << ", \"leaf_calls\": " << r.leaf_calls
-     << ", \"fused_calls\": " << r.fused_calls
+     << ", \"fused_calls\": 0"
      << ", \"elementwise_calls\": " << r.elementwise_calls << "}, ";
 
   os << "\"parallel\": {\"used\": " << (r.parallel ? "true" : "false")

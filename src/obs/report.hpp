@@ -12,8 +12,8 @@
 //                 planner originally wanted, split/product accounting
 //   workspace  -- bytes requested, the arena high-water mark, and which rung
 //                 of the PR-1 degradation ladder the call took, if any
-//   kernels    -- active engine kernel/variant and leaf / fused-leaf /
-//                 element-wise invocation counts
+//   kernels    -- active engine kernel/variant and leaf / element-wise
+//                 invocation counts
 //   parallel   -- thread count, tasks executed (total and per worker), tasks
 //                 migrated between workers by stealing, task busy time, and
 //                 pool utilization
@@ -108,8 +108,7 @@ struct GemmReport {
   // --- kernel telemetry (production double-precision path) -----------------
   const char* kernel = "";          // active engine kernel at call time
   const char* kernel_variant = "";  // AVX2 register-block variant
-  std::uint64_t leaf_calls = 0;         // plain leaf products
-  std::uint64_t fused_calls = 0;        // fused (A1 op A2).(B1 op B2) products
+  std::uint64_t leaf_calls = 0;         // leaf products
   std::uint64_t elementwise_calls = 0;  // quadrant vadd/vsub kernel calls
 
   // --- parallel stats ------------------------------------------------------

@@ -228,63 +228,6 @@ TEST(KernelConformance, OverwriteDoesNotReadC) {
   }
 }
 
-// ---- fused kernels vs materialized temporaries ----------------------------
-
-TEST(KernelConformance, FusedMatchesMaterialized) {
-  for (const Config& cfg : runnable_configs()) {
-    const LeafKernels* tab = kernel_table(cfg.kind);
-    ASSERT_NE(tab, nullptr);
-    if (tab->gemm_fused_a == nullptr) continue;  // scalar: deliberately none
-    ScopedKernel pin(cfg.kind, cfg.variant);
-    for (const auto& [m, n, k] : conformance_shapes()) {
-      if (k == 0) continue;  // fused entries serve leaf tiles, k >= 1
-      Rng rng(static_cast<std::uint64_t>(m * 7 + n * 3 + k));
-      Matrix<double> A1(m, k), A2(m, k), B1(k, n), B2(k, n);
-      Matrix<double> S(m, k), T(k, n), C(m, n), Ref(m, n);
-      rng.fill_uniform(A1.storage());
-      rng.fill_uniform(A2.storage());
-      rng.fill_uniform(B1.storage());
-      rng.fill_uniform(B2.storage());
-      for (FusedOp op : {FusedOp::kAdd, FusedOp::kSub}) {
-        RawMem mm;
-        if (op == FusedOp::kAdd) {
-          blas::vadd(mm, S.storage().size(), S.data(), A1.data(), A2.data());
-          blas::vadd(mm, T.storage().size(), T.data(), B1.data(), B2.data());
-        } else {
-          blas::vsub(mm, S.storage().size(), S.data(), A1.data(), A2.data());
-          blas::vsub(mm, T.storage().size(), T.data(), B1.data(), B2.data());
-        }
-        const char* opname = op == FusedOp::kAdd ? "add" : "sub";
-        // C = (A1 op A2) . B1  vs  S . B1 -- must be BIT-identical: the
-        // fused loaders perform the same IEEE op element-wise, and the
-        // accumulation order is that of the same kernel body.
-        tab->gemm_fused_a(m, n, k, A1.data(), A2.data(), op, A1.ld(),
-                          B1.data(), B1.ld(), C.data(), C.ld());
-        active().gemm(m, n, k, S.data(), S.ld(), B1.data(), B1.ld(),
-                      Ref.data(), Ref.ld(), LeafMode::Overwrite, 1.0);
-        EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0)
-            << cfg.name << " fused_a " << opname << " m=" << m << " n=" << n
-            << " k=" << k;
-        // C = A1 . (B1 op B2)
-        tab->gemm_fused_b(m, n, k, A1.data(), A1.ld(), B1.data(), B2.data(),
-                          op, B1.ld(), C.data(), C.ld());
-        active().gemm(m, n, k, A1.data(), A1.ld(), T.data(), T.ld(),
-                      Ref.data(), Ref.ld(), LeafMode::Overwrite, 1.0);
-        EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0)
-            << cfg.name << " fused_b " << opname;
-        // C = (A1 op A2) . (B1 op B2)
-        tab->gemm_fused_ab(m, n, k, A1.data(), A2.data(), op, A1.ld(),
-                           B1.data(), B2.data(), op, B1.ld(), C.data(),
-                           C.ld());
-        active().gemm(m, n, k, S.data(), S.ld(), T.data(), T.ld(), Ref.data(),
-                      Ref.ld(), LeafMode::Overwrite, 1.0);
-        EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0)
-            << cfg.name << " fused_ab " << opname;
-      }
-    }
-  }
-}
-
 // ---- edge blocks: every residue of the register blocks ---------------------
 
 // A column-major operand in a heap block of exactly its size (ld == rows),
@@ -295,14 +238,6 @@ std::vector<double> exact_operand(int rows, int cols, Rng& rng) {
   std::vector<double> v(static_cast<std::size_t>(rows) * cols);
   rng.fill_uniform(v);
   return v;
-}
-
-std::vector<double> combine(const std::vector<double>& x,
-                            const std::vector<double>& y, FusedOp op) {
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    out[i] = op == FusedOp::kAdd ? x[i] + y[i] : x[i] - y[i];
-  return out;
 }
 
 bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
@@ -319,12 +254,10 @@ double max_diff(const std::vector<double>& x, const std::vector<double>& y) {
 
 TEST(KernelConformance, EdgeSweepMatchesOracle) {
   // m in 1..17 and n in 1..13 cover every residue mod MR (8 for AVX2, 4 for
-  // scalar and NEON) and mod NR (6, 4), alone and beside full blocks; k = 1 has no reduction, k = 7 a
-  // short odd one.  The fused entries must equal the plain entry on the
-  // materialized operand sums bit for bit.
+  // scalar and NEON) and mod NR (6, 4), alone and beside full blocks; k = 1
+  // has no reduction, k = 7 a short odd one.
   for (const Config& cfg : runnable_configs()) {
-    const LeafKernels* tab = kernel_table(cfg.kind);
-    ASSERT_NE(tab, nullptr);
+    ASSERT_NE(kernel_table(cfg.kind), nullptr);
     ScopedKernel pin(cfg.kind, cfg.variant);
     for (int k : {1, 7}) {
       for (int m = 1; m <= 17; ++m) {
@@ -332,44 +265,21 @@ TEST(KernelConformance, EdgeSweepMatchesOracle) {
           SCOPED_TRACE(::testing::Message() << cfg.name << " m=" << m
                                             << " n=" << n << " k=" << k);
           Rng rng(static_cast<std::uint64_t>(m * 1009 + n * 31 + k));
-          const std::vector<double> A1 = exact_operand(m, k, rng);
-          const std::vector<double> A2 = exact_operand(m, k, rng);
-          const std::vector<double> B1 = exact_operand(k, n, rng);
-          const std::vector<double> B2 = exact_operand(k, n, rng);
+          const std::vector<double> A = exact_operand(m, k, rng);
+          const std::vector<double> B = exact_operand(k, n, rng);
           std::vector<double> C = exact_operand(m, n, rng), Ref;
           for (LeafMode mode : {LeafMode::Overwrite, LeafMode::Accumulate}) {
             for (double alpha : {1.0, -1.5}) {
               rng.fill_uniform(C);
               Ref = C;
-              active().gemm(m, n, k, A1.data(), m, B1.data(), k, C.data(), m,
+              active().gemm(m, n, k, A.data(), m, B.data(), k, C.data(), m,
                             mode, alpha);
-              oracle_gemm(m, n, k, A1.data(), m, B1.data(), k, Ref.data(), m,
+              oracle_gemm(m, n, k, A.data(), m, B.data(), k, Ref.data(), m,
                           mode, alpha);
               EXPECT_LT(max_diff(C, Ref), kTol * (k + 1) * std::abs(alpha))
                   << (mode == LeafMode::Overwrite ? "ow" : "acc")
                   << " alpha=" << alpha;
             }
-          }
-          if (tab->gemm_fused_a == nullptr) continue;  // scalar: none
-          for (FusedOp op : {FusedOp::kAdd, FusedOp::kSub}) {
-            const char* opname = op == FusedOp::kAdd ? "add" : "sub";
-            const std::vector<double> S = combine(A1, A2, op);
-            const std::vector<double> T = combine(B1, B2, op);
-            tab->gemm_fused_a(m, n, k, A1.data(), A2.data(), op, m, B1.data(),
-                              k, C.data(), m);
-            active().gemm(m, n, k, S.data(), m, B1.data(), k, Ref.data(), m,
-                          LeafMode::Overwrite, 1.0);
-            EXPECT_TRUE(same_bits(C, Ref)) << "fused_a " << opname;
-            tab->gemm_fused_b(m, n, k, A1.data(), m, B1.data(), B2.data(), op,
-                              k, C.data(), m);
-            active().gemm(m, n, k, A1.data(), m, T.data(), k, Ref.data(), m,
-                          LeafMode::Overwrite, 1.0);
-            EXPECT_TRUE(same_bits(C, Ref)) << "fused_b " << opname;
-            tab->gemm_fused_ab(m, n, k, A1.data(), A2.data(), op, m,
-                               B1.data(), B2.data(), op, k, C.data(), m);
-            active().gemm(m, n, k, S.data(), m, T.data(), k, Ref.data(), m,
-                          LeafMode::Overwrite, 1.0);
-            EXPECT_TRUE(same_bits(C, Ref)) << "fused_ab " << opname;
           }
         }
       }
@@ -428,8 +338,7 @@ TEST(KernelConformance, EdgeStoresStayInsideTheResult) {
                                      {9, 13, 5}, {13, 11, 1}, {17, 9, 7},
                                      {33, 47, 8}, {47, 25, 6}};
   for (const Config& cfg : runnable_configs()) {
-    const LeafKernels* tab = kernel_table(cfg.kind);
-    ASSERT_NE(tab, nullptr);
+    ASSERT_NE(kernel_table(cfg.kind), nullptr);
     ScopedKernel pin(cfg.kind, cfg.variant);
     for (const auto& [m, n, k] : shapes) {
       SCOPED_TRACE(::testing::Message() << cfg.name << " m=" << m
@@ -464,14 +373,6 @@ TEST(KernelConformance, EdgeStoresStayInsideTheResult) {
                     -1.5);
         check(C, Ref, mode == LeafMode::Overwrite ? "gemm ow" : "gemm acc");
       }
-      if (tab->gemm_fused_ab == nullptr) continue;  // scalar: none
-      std::vector<double> C(static_cast<std::size_t>(ldc) * (n + 2), nan);
-      std::vector<double> Ref = C;
-      tab->gemm_fused_ab(m, n, k, A.data(), A.data(), FusedOp::kAdd, m,
-                         B.data(), B.data(), FusedOp::kSub, k, C.data(), ldc);
-      // (A + A) . (B - B) is exactly zero inside the result.
-      std::fill(Ref.begin(), Ref.end(), 0.0);
-      check(C, Ref, "fused_ab");
     }
   }
 }

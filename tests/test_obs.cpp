@@ -139,11 +139,11 @@ TEST(ObsPhases, AccumulateAcrossCalls) {
   ModgemmReport report;
   p.run(fixed_depth2(), &report);
   const double wall1 = report.wall_seconds;
-  const std::uint64_t leaves1 = report.leaf_calls + report.fused_calls;
+  const std::uint64_t leaves1 = report.leaf_calls;
   p.run(fixed_depth2(), &report);
   EXPECT_EQ(report.products, 2);
   EXPECT_GT(report.wall_seconds, wall1);
-  EXPECT_EQ(report.leaf_calls + report.fused_calls, 2 * leaves1);
+  EXPECT_EQ(report.leaf_calls, 2 * leaves1);
   EXPECT_EQ(report.workspace_allocations, 2);
 }
 
@@ -167,7 +167,7 @@ TEST(ObsOptions, OptionsPointerAndTrailingParameterAgree) {
 TEST(ObsKernels, ScalarCountsMatchClosedForm) {
   Problem p(64);
   ModgemmOptions opt = fixed_depth2();
-  opt.kernel = ker::Kind::kScalar;  // scalar table: no fused entries
+  opt.kernel = ker::Kind::kScalar;
   ModgemmReport report;
   p.run(opt, &report);
 
@@ -175,35 +175,29 @@ TEST(ObsKernels, ScalarCountsMatchClosedForm) {
   ASSERT_EQ(d, 2);
   EXPECT_STREQ(report.kernel, "scalar");
   EXPECT_EQ(report.leaf_calls, pow7(d));
-  EXPECT_EQ(report.fused_calls, 0u);
   // 15 quadrant additions at each internal node: 15 * (7^d - 1) / 6.
   EXPECT_EQ(report.elementwise_calls, 15 * (pow7(d) - 1) / 6);
 }
 
 TEST(ObsKernels, FusedCountsMatchClosedForm) {
-  // Only meaningful when a SIMD table with fused entries can run here.
-  ker::Kind simd = ker::Kind::kScalar;
-  for (ker::Kind k : ker::available_kernels())
-    if (k != ker::Kind::kScalar) simd = k;
-  if (simd == ker::Kind::kScalar) GTEST_SKIP() << "no SIMD kernel available";
-  const ker::LeafKernels* tab = ker::kernel_table(simd);
-  ASSERT_NE(tab, nullptr);
-  if (tab->gemm_fused_ab == nullptr)
-    GTEST_SKIP() << "kernel publishes no fused entries";
+  // No kernel table fuses operand sums into its leaf products any more:
+  // every table, SIMD included, runs all 7^d products as plain leaves, and
+  // the report's fused-leaf counter reads 0.
+  for (ker::Kind kind : ker::available_kernels()) {
+    Problem p(64);
+    ModgemmOptions opt = fixed_depth2();
+    opt.kernel = kind;
+    ModgemmReport report;
+    p.run(opt, &report);
 
-  Problem p(64);
-  ModgemmOptions opt = fixed_depth2();
-  opt.kernel = simd;
-  ModgemmReport report;
-  p.run(opt, &report);
-
-  const int d = report.plan.depth;
-  ASSERT_EQ(d, 2);
-  EXPECT_STREQ(report.kernel, ker::kind_name(simd));
-  // Each bottom-level node fuses 3 of its 7 products (P5, P7, P6) and runs
-  // the other 4 as plain leaves; there are 7^(d-1) bottom-level nodes.
-  EXPECT_EQ(report.fused_calls, 3 * pow7(d - 1));
-  EXPECT_EQ(report.leaf_calls, 4 * pow7(d - 1));
+    const int d = report.plan.depth;
+    ASSERT_EQ(d, 2);
+    EXPECT_STREQ(report.kernel, ker::kind_name(kind));
+    EXPECT_EQ(report.leaf_calls, pow7(d));
+    EXPECT_EQ(report.elementwise_calls, 15 * (pow7(d) - 1) / 6);
+    EXPECT_NE(obs::to_json(report).find("\"fused_calls\": 0,"),
+              std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -264,6 +258,8 @@ TEST(ObsJson, CarriesSchemaAndEverySection) {
         "\"workspace_acquisitions\"", "\"workspace_cold_allocs\"",
         "\"tune_cache\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  // The retired fused-leaf counter stays in the v6 schema as a constant.
+  EXPECT_NE(json.find("\"fused_calls\": 0,"), std::string::npos);
   // One line, balanced braces.
   EXPECT_EQ(json.find('\n'), std::string::npos);
   int depth = 0;
@@ -360,7 +356,7 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   EXPECT_GT(report.workspace_requested_bytes, 0u);
   EXPECT_EQ(report.workspace_peak_bytes, report.workspace_requested_bytes);
   EXPECT_GE(report.workspace_allocations, 3 + 7);  // Morton bufs + task arenas
-  EXPECT_GT(report.leaf_calls + report.fused_calls, 0u);
+  EXPECT_GT(report.leaf_calls, 0u);
   EXPECT_GT(report.pool_utilization(), 0.0);
   EXPECT_LE(report.pool_utilization(), 1.0);
   // Steals are scheduling-dependent (0 is legal on a loaded host), but they
@@ -450,7 +446,7 @@ TEST(ObsParallel, AllocFailureDegradesIntoOneCoherentReport) {
   // The serial rerun's execution is fully accounted (one product, phases).
   EXPECT_EQ(report.products, 1);
   EXPECT_GT(report.compute_seconds, 0.0);
-  EXPECT_GT(report.leaf_calls + report.fused_calls, 0u);
+  EXPECT_GT(report.leaf_calls, 0u);
 }
 
 TEST(ObsParallel, InlinePoolStillCountsTasks) {

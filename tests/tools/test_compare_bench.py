@@ -24,15 +24,18 @@ def bench_json(points):
 
 class CompareBenchTest(unittest.TestCase):
     def run_tool(self, baseline, current, extra=()):
+        """current: one run, or a list of runs (one --current each)."""
+        runs = current if isinstance(current, list) else [current]
         with tempfile.TemporaryDirectory() as d:
             bpath = pathlib.Path(d) / "baseline.json"
-            cpath = pathlib.Path(d) / "current.json"
             bpath.write_text(json.dumps(baseline))
-            cpath.write_text(json.dumps(current))
-            proc = subprocess.run(
-                [sys.executable, str(TOOL), "--baseline", str(bpath),
-                 "--current", str(cpath), *extra],
-                capture_output=True, text=True)
+            args = [sys.executable, str(TOOL), "--baseline", str(bpath)]
+            for i, run in enumerate(runs):
+                cpath = pathlib.Path(d) / f"current_{i}.json"
+                cpath.write_text(json.dumps(run))
+                args += ["--current", str(cpath)]
+            proc = subprocess.run([*args, *extra], capture_output=True,
+                                  text=True)
         return proc
 
     def test_identical_runs_pass(self):
@@ -85,6 +88,38 @@ class CompareBenchTest(unittest.TestCase):
         current = bench_json([("scalar", 8, 2.0), ("avx2", 8, 7.2)])  # -10%
         proc = self.run_tool(baseline, current, extra=("--tolerance", "0.05"))
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+
+    # ---- several runs: the gate reads the per-point median ----
+
+    def test_one_outlier_run_among_several_passes(self):
+        # Five sweeps; one of them (a noisy-neighbour moment) drops the AVX2
+        # ratio by 40%.  The median of the five stays at 4.0x: pass.
+        baseline = bench_json([("scalar", 8, 2.0), ("avx2", 8, 8.0)])
+        good = bench_json([("scalar", 8, 2.0), ("avx2", 8, 8.0)])
+        outlier = bench_json([("scalar", 8, 2.0), ("avx2", 8, 4.8)])
+        proc = self.run_tool(baseline, [good, outlier, good, good, good])
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("median of 5 run(s)", proc.stdout)
+
+    def test_regression_in_the_median_fails(self):
+        # Three of five runs sit 25% low: the median moves, so the gate
+        # fails even though two runs look healthy.
+        baseline = bench_json([("scalar", 8, 2.0), ("avx2", 8, 8.0)])
+        good = bench_json([("scalar", 8, 2.0), ("avx2", 8, 8.0)])
+        slow = bench_json([("scalar", 8, 2.0), ("avx2", 8, 6.0)])
+        proc = self.run_tool(baseline, [good, slow, slow, good, slow])
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("REGRESSION", proc.stdout)
+
+    def test_runs_are_normalized_before_the_median(self):
+        # Each run is normalized by its own scalar row: a run on a 3x faster
+        # machine contributes the same ratio, not a 3x larger one.
+        baseline = bench_json([("scalar", 8, 2.0), ("avx2", 8, 8.0)])
+        slow_host = bench_json([("scalar", 8, 2.0), ("avx2", 8, 8.0)])
+        fast_host = bench_json([("scalar", 8, 6.0), ("avx2", 8, 24.0)])
+        proc = self.run_tool(baseline, [slow_host, fast_host, fast_host])
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("x  4.00", proc.stdout)
 
     # ---- modgemm strategy rows (normalized by same-run modgemm-morton) ----
 

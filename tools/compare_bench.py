@@ -22,17 +22,26 @@ the batch's per-product n): "batched-serial" and "batched-pool" are
 normalized by the same-run "batched-loop" per-item baseline, gating the
 amortization and scaling wins of modgemm_batched rather than raw throughput.
 
-Points present in the baseline but missing from the current run (e.g. an
+--current may be given more than once (several sweeps of the same build).
+Each run is normalized on its own, and the gate then compares the per-point
+MEDIAN of those ratios: on a noisy shared runner a single sweep's point can
+swing by 15-35%, and one outlier run among several must not fail the gate,
+while a real regression moves the median and still does.
+
+Points present in the baseline but missing from every current run (e.g. an
 AVX2 kernel on a runner without AVX2) are reported and skipped, never
 silently ignored.  Stdlib only.
 
 Usage:
   tools/compare_bench.py --baseline bench/baselines/BENCH_kernels.json \
-                         --current build/BENCH_kernels.json [--tolerance 0.15]
+                         --current build/BENCH_kernels.json \
+                         [--current build/BENCH_kernels_2.json ...] \
+                         [--tolerance 0.15]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -72,16 +81,26 @@ def normalized_ratios(points):
     return ratios
 
 
+def median_ratios(paths):
+    """Per-point median of the normalized ratios over several runs."""
+    runs = [normalized_ratios(load_points(p)) for p in paths]
+    keys = set().union(*runs)
+    return {key: statistics.median(r[key] for r in runs if key in r)
+            for key in keys}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", required=True)
-    ap.add_argument("--current", required=True)
+    ap.add_argument("--current", required=True, action="append",
+                    help="a fresh run; repeat to gate the per-point median "
+                         "of several runs")
     ap.add_argument("--tolerance", type=float, default=0.15,
                     help="maximum allowed relative regression (default 0.15)")
     args = ap.parse_args()
 
     base = normalized_ratios(load_points(args.baseline))
-    cur = normalized_ratios(load_points(args.current))
+    cur = median_ratios(args.current)
     if not base:
         print("compare_bench: baseline has no comparable points", file=sys.stderr)
         return 2
@@ -111,7 +130,7 @@ def main():
         return 1
     compared = len(base) - len(skipped)
     print(f"compare_bench: {compared} point(s) within tolerance "
-          f"({len(skipped)} skipped)")
+          f"({len(skipped)} skipped; median of {len(args.current)} run(s))")
     return 0
 
 
