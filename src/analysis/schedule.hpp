@@ -28,29 +28,31 @@
 // (A-shaped) x (B-shaped) -> C-shaped.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace strassen::analysis {
 
 // ---- operands -------------------------------------------------------------
 
-// Slot identifiers of one recursion level.  Two temporaries per shape are
-// reserved so alternative schedules (and the verifier's negative tests) can
-// express higher temporary counts; the shipped schedules use one of each.
+// Slot identifiers of one recursion level.  Temporaries come in three
+// shapes; the serial tables use one of each, the spawn table
+// (kWinogradSpawn) all of them: S1..S4, T1..T4 and the seven products
+// M1..M7, each in its own buffer so forked products never share storage.
 enum class Operand : std::uint8_t {
   kA11 = 0, kA12, kA21, kA22,   // A quadrants (read-only inputs)
   kB11, kB12, kB21, kB22,       // B quadrants (read-only inputs)
   kC11, kC12, kC21, kC22,       // C quadrants (outputs, usable as scratch)
-  kTS0, kTS1,                   // A-shaped temporaries
-  kTT0, kTT1,                   // B-shaped temporaries
-  kTP0, kTP1,                   // C-shaped temporaries
+  kTS0, kTS1, kTS2, kTS3,       // A-shaped temporaries
+  kTT0, kTT1, kTT2, kTT3,       // B-shaped temporaries
+  kTP0, kTP1, kTP2, kTP3, kTP4, kTP5, kTP6,  // C-shaped temporaries
   kNone,
 };
 
-inline constexpr int kOperandCount = 18;
+inline constexpr int kOperandCount = 27;
 
-// Temporaries a schedule may declare: kTS0..kTP1.
-inline constexpr int kMaxTemps = 6;
+// Temporaries a schedule may declare: kTS0..kTP6.
+inline constexpr int kMaxTemps = 15;
 
 enum class Shape : std::uint8_t { kA, kB, kC, kNone };
 
@@ -59,9 +61,9 @@ constexpr Shape shape_of(Operand op) {
   if (v <= static_cast<std::uint8_t>(Operand::kA22)) return Shape::kA;
   if (v <= static_cast<std::uint8_t>(Operand::kB22)) return Shape::kB;
   if (v <= static_cast<std::uint8_t>(Operand::kC22)) return Shape::kC;
-  if (op == Operand::kTS0 || op == Operand::kTS1) return Shape::kA;
-  if (op == Operand::kTT0 || op == Operand::kTT1) return Shape::kB;
-  if (op == Operand::kTP0 || op == Operand::kTP1) return Shape::kC;
+  if (v <= static_cast<std::uint8_t>(Operand::kTS3)) return Shape::kA;
+  if (v <= static_cast<std::uint8_t>(Operand::kTT3)) return Shape::kB;
+  if (v <= static_cast<std::uint8_t>(Operand::kTP6)) return Shape::kC;
   return Shape::kNone;
 }
 
@@ -75,7 +77,7 @@ constexpr bool is_c_quadrant(Operand op) {
 }
 
 constexpr bool is_temp(Operand op) {
-  return op >= Operand::kTS0 && op <= Operand::kTP1;
+  return op >= Operand::kTS0 && op <= Operand::kTP6;
 }
 
 constexpr const char* operand_name(Operand op) {
@@ -94,10 +96,19 @@ constexpr const char* operand_name(Operand op) {
     case Operand::kC22: return "C22";
     case Operand::kTS0: return "tS";
     case Operand::kTS1: return "tS'";
+    case Operand::kTS2: return "tS2";
+    case Operand::kTS3: return "tS3";
     case Operand::kTT0: return "tT";
     case Operand::kTT1: return "tT'";
+    case Operand::kTT2: return "tT2";
+    case Operand::kTT3: return "tT3";
     case Operand::kTP0: return "tP";
     case Operand::kTP1: return "tP'";
+    case Operand::kTP2: return "tP2";
+    case Operand::kTP3: return "tP3";
+    case Operand::kTP4: return "tP4";
+    case Operand::kTP5: return "tP5";
+    case Operand::kTP6: return "tP6";
     case Operand::kNone: break;
   }
   return "<none>";
@@ -122,9 +133,6 @@ enum class StepKind : std::uint8_t {
   kSubInplace,
   kMul,
 };
-
-// Sign of the second operand of a packed operand sum (blas/pack.hpp).
-enum class Sign : std::int8_t { kMinus = -1, kPlus = 1 };
 
 constexpr bool is_product(StepKind k) { return k == StepKind::kMul; }
 
@@ -164,7 +172,8 @@ constexpr Step mul(Operand dst, Operand a, Operand b, const char* note) {
 // value (identity by default: each temp its own buffer) so constant
 // expressions never compare a table's address against null.
 struct TempBuffers {
-  std::int8_t id[kMaxTemps] = {0, 1, 2, 3, 4, 5};
+  std::int8_t id[kMaxTemps] = {0, 1, 2,  3,  4,  5,  6, 7,
+                               8, 9, 10, 11, 12, 13, 14};
 };
 
 struct Schedule {
@@ -180,10 +189,12 @@ struct Schedule {
   // and only at the TOP level of a recursion: a child running this table
   // would clobber parent operands that are still live.
   bool overwrites_inputs = false;
-  // True when the table computes C += A.B instead of C = A.B: the C
-  // quadrants' initial values are inputs the verifier must prove survive
-  // into the result (and nowhere else).
-  bool accumulates_c = false;
+  // True when each maximal run of consecutive products executes as one
+  // fork: the products run concurrently and join before the next
+  // element-wise step.  The verifier then proves the run's products
+  // independent (no product reads or writes storage another one of the run
+  // writes) and counts the whole run as one program point for liveness.
+  bool forks_products = false;
   TempBuffers temp_buffer{};
 };
 
@@ -198,6 +209,23 @@ constexpr int temp_buffer_count(const Schedule& s) {
   for (int i = 0; i < s.temp_count; ++i)
     if (temp_buffer_id(s, i) > max_id) max_id = temp_buffer_id(s, i);
   return max_id + 1;
+}
+
+// Size of each arena buffer of `s`, given the size of one quadrant of each
+// shape (`per_shape`, indexed by Shape; elements or rounded bytes alike):
+// the largest shape mapped onto the buffer.  Returns the buffer count.  The
+// interpreter's temp pushes and the workspace sizing both read this, so the
+// arena layout and its predicted size cannot drift apart.
+constexpr int temp_buffer_sizes(const Schedule& s,
+                                const std::size_t* per_shape,
+                                std::size_t (&out)[kMaxTemps]) {
+  for (std::size_t& b : out) b = 0;
+  for (int i = 0; i < s.temp_count; ++i) {
+    const std::size_t n = per_shape[static_cast<int>(shape_of(s.temps[i]))];
+    std::size_t& b = out[temp_buffer_id(s, i)];
+    if (n > b) b = n;
+  }
+  return temp_buffer_count(s);
 }
 
 // ---- schedule families ----------------------------------------------------
@@ -358,44 +386,50 @@ inline constexpr Step kWinogradInPlaceSteps[] = {
 
 inline constexpr Operand kWinogradInPlaceTemps[] = {tP};
 
-// The accumulating schedule: C += A . B with the C quadrants' INITIAL
-// values live throughout (the split path's k-chunk chains use this to skip
-// the separate beta pass and the per-chunk C buffer).  Every product lands
-// in tP and is combined into its targets with in-place adds, so no C
-// quadrant is ever overwritten -- only accumulated into.  Same three
-// temporaries as the default schedule (the saving is the C pass and the
-// extra Morton C buffer, not the per-level temporaries).
-inline constexpr Step kWinogradAccumSteps[] = {
-    sub(tS, A11, A21, "S3"),        // tS  = A11 - A21
-    sub(tT, B22, B12, "T3"),        // tT  = B22 - B12
-    mul(tP, tS, tT, "P5"),          // tP  = S3 . T3
-    add_ip(C21, tP, "C21+=P5"),
-    add_ip(C22, tP, "C22+=P5"),
-    add(tS, A21, A22, "S1"),        // tS  = A21 + A22
-    sub(tT, B12, B11, "T1"),        // tT  = B12 - B11
-    mul(tP, tS, tT, "P3"),          // tP  = S1 . T1
-    add_ip(C22, tP, "C22+=P3"),
-    add_ip(C12, tP, "C12+=P3"),
-    sub_ip(tS, A11, "S2"),          // tS  = S1 - A11
-    sub(tT, B22, tT, "T2"),         // tT  = B22 - T1
-    mul(tP, tS, tT, "P4"),          // tP  = S2 . T2
-    add_ip(C12, tP, "C12+=P4"),
-    add_ip(C21, tP, "C21+=P4"),
-    add_ip(C22, tP, "C22+=P4"),
-    sub(tS, A12, tS, "S4"),         // tS  = A12 - S2
-    mul(tP, tS, B22, "P6"),         // tP  = S4 . B22
-    add_ip(C12, tP, "C12+=P6"),
-    sub_ip(tT, B21, "-T4"),         // tT  = T2 - B21
-    mul(tP, A22, tT, "-P7"),        // tP  = A22 . (T2 - B21)
-    sub_ip(C21, tP, "C21-=P7"),
-    mul(tP, A11, B11, "P1"),        // tP  = A11 . B11
-    add_ip(C11, tP, "C11+=P1"),
-    add_ip(C12, tP, "C12+=P1"),
-    add_ip(C21, tP, "C21+=P1"),
-    add_ip(C22, tP, "C22+=P1"),
-    mul(tP, A12, B21, "P2"),        // tP  = A12 . B21
-    add_ip(C11, tP, "C11+=P2"),     //                      [final C11]
+// The spawn level: the parallel driver's fork level (parallel/pmodgemm.cpp)
+// as a table.  All eight operand sums are formed first (S1..S4 over A,
+// T1..T4 over B, each in its own temporary), then the seven products run as
+// ONE forked run into seven product temporaries (M1..M7, in the driver's
+// fork order), then the U-chain combines them into C.  Fifteen temporaries
+// are live while the products run -- the price of running all seven at
+// once.  The U-chain's sums are the serial table's, regrouped only by
+// commutativity (C11 = M1 + M2 against C11 = P2 + P1), so a forked level
+// gives the serial recursion's bits.
+inline constexpr Op S1 = Op::kTS0, S2 = Op::kTS1, S3 = Op::kTS2,
+                    S4 = Op::kTS3;
+inline constexpr Op T1 = Op::kTT0, T2 = Op::kTT1, T3 = Op::kTT2,
+                    T4 = Op::kTT3;
+inline constexpr Op M1 = Op::kTP0, M2 = Op::kTP1, M3 = Op::kTP2,
+                    M4 = Op::kTP3, M5 = Op::kTP4, M6 = Op::kTP5,
+                    M7 = Op::kTP6;
+
+inline constexpr Step kWinogradSpawnSteps[] = {
+    add(S1, A21, A22, "S1"),        // S1 = A21 + A22
+    sub(S2, S1, A11, "S2"),         // S2 = S1 - A11
+    sub(S3, A11, A21, "S3"),        // S3 = A11 - A21
+    sub(S4, A12, S2, "S4"),         // S4 = A12 - S2
+    sub(T1, B12, B11, "T1"),        // T1 = B12 - B11
+    sub(T2, B22, T1, "T2"),         // T2 = B22 - T1
+    sub(T3, B22, B12, "T3"),        // T3 = B22 - B12
+    sub(T4, T2, B21, "-T4"),        // T4 = T2 - B21
+    mul(M1, A11, B11, "P1"),        // M1 = A11 . B11      -- forked run --
+    mul(M2, A12, B21, "P2"),        // M2 = A12 . B21
+    mul(M3, S4, B22, "P6"),         // M3 = S4 . B22
+    mul(M4, A22, T4, "-P7"),        // M4 = A22 . (T2 - B21)
+    mul(M5, S1, T1, "P3"),          // M5 = S1 . T1
+    mul(M6, S2, T2, "P4"),          // M6 = S2 . T2
+    mul(M7, S3, T3, "P5"),          // M7 = S3 . T3        -- join --
+    add(C11, M1, M2, "U1"),         // C11 = M1 + M2       [final C11]
+    add_ip(M1, M6, "U2"),           // M1  = M1 + M6
+    add_ip(M7, M1, "U3"),           // M7  = U2 + M7
+    sub(C21, M7, M4, "U4"),         // C21 = U3 - M4       [final C21]
+    add(C22, M7, M5, "U5"),         // C22 = U3 + M5       [final C22]
+    add_ip(M1, M5, "U6"),           // M1  = U2 + M5
+    add(C12, M1, M3, "U7"),         // C12 = U6 + M3       [final C12]
 };
+
+inline constexpr Operand kWinogradSpawnTemps[] = {
+    S1, S2, S3, S4, T1, T2, T3, T4, M1, M2, M3, M4, M5, M6, M7};
 
 }  // namespace detail
 
@@ -419,7 +453,7 @@ inline constexpr Schedule kWinogradLowMem{
     static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
     /*declared_temp_peak=*/2,
     /*overwrites_inputs=*/false,
-    /*accumulates_c=*/false,
+    /*forks_products=*/false,
     detail::kWinogradLowMemBuffers,
 };
 
@@ -435,21 +469,40 @@ inline constexpr Schedule kWinogradInPlace{
     /*overwrites_inputs=*/true,
 };
 
-// The accumulating schedule (C += A.B; split-path k-chunk fusion).
-inline constexpr Schedule kWinogradAccum{
-    "winograd-accum",
-    detail::kWinogradAccumSteps,
-    static_cast<int>(sizeof(detail::kWinogradAccumSteps) / sizeof(Step)),
-    detail::kWinogradTemps,
-    static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
-    /*declared_temp_peak=*/3,
+// The parallel driver's spawn level: one forked run of seven products.
+inline constexpr Schedule kWinogradSpawn{
+    "winograd-spawn",
+    detail::kWinogradSpawnSteps,
+    static_cast<int>(sizeof(detail::kWinogradSpawnSteps) / sizeof(Step)),
+    detail::kWinogradSpawnTemps,
+    static_cast<int>(sizeof(detail::kWinogradSpawnTemps) / sizeof(Operand)),
+    /*declared_temp_peak=*/15,
     /*overwrites_inputs=*/false,
-    /*accumulates_c=*/true,
+    /*forks_products=*/true,
 };
 
 // All shipped schedules, for the verifier CLI and tests.
 inline constexpr const Schedule* kShippedSchedules[] = {
-    &kWinograd, &kWinogradLowMem, &kWinogradInPlace, &kWinogradAccum};
+    &kWinograd, &kWinogradLowMem, &kWinogradInPlace, &kWinogradSpawn};
 inline constexpr int kShippedScheduleCount = 4;
+
+// The table one serial level of `family` runs.  `owns_inputs` marks a level
+// whose A/B operands are copies the caller staged and may destroy (the top
+// level of a Morton execution): only there does the in-place family run its
+// in-place table; everywhere else it runs the low-memory one, since a child
+// running in place would clobber parent operands that are still live.
+constexpr const Schedule& level_schedule(ScheduleFamily family,
+                                         bool owns_inputs = false) {
+  switch (family) {
+    case ScheduleFamily::kInPlace:
+      return owns_inputs ? kWinogradInPlace : kWinogradLowMem;
+    case ScheduleFamily::kLowMem:
+      return kWinogradLowMem;
+    case ScheduleFamily::kAuto:
+    case ScheduleFamily::kWinograd:
+      break;
+  }
+  return kWinograd;
+}
 
 }  // namespace strassen::analysis

@@ -35,13 +35,17 @@ static_assert(verify_core(kWinogradInPlace).temp_peak == 1 &&
                   verify_core(kWinogradInPlace).linear_ops == 15,
               "shipped in-place schedule must be 7 products + 15 additions "
               "with a single C-shaped temporary");
-static_assert(verify_core(kWinogradAccum).violation == Violation::kNone,
-              "shipped accumulating schedule failed symbolic verification");
-static_assert(verify_core(kWinogradAccum).temp_peak == 3 &&
-                  verify_core(kWinogradAccum).products == 7 &&
-                  verify_core(kWinogradAccum).linear_ops == 22,
-              "shipped accumulating schedule must be 7 products + 22 "
-              "additions with a 3-temporary peak");
+static_assert(verify_core(kWinogradSpawn).violation == Violation::kNone,
+              "shipped spawn schedule failed symbolic verification (fork "
+              "independence included)");
+static_assert(verify_core(kWinogradSpawn).temp_peak == 15 &&
+                  verify_core(kWinogradSpawn).products == 7 &&
+                  verify_core(kWinogradSpawn).linear_ops == 15,
+              "shipped spawn schedule must be 7 forked products + 15 "
+              "additions with all 15 temporaries live across the fork");
+static_assert(temp_buffer_count(kWinogradSpawn) == 15,
+              "shipped spawn schedule must give every temporary its own "
+              "buffer");
 
 namespace {
 
@@ -85,7 +89,7 @@ std::string step_render(const Step& s) {
 SymState forward_diagnose(const Schedule& sched,
                           std::vector<std::string>& errors,
                           int last_writer[kOperandCount]) {
-  SymState st = detail::initial_state(sched.accumulates_c);
+  SymState st = detail::initial_state();
   for (int i = 0; i < kOperandCount; ++i) last_writer[i] = -1;
   for (int i = 0; i < sched.step_count; ++i) {
     const Step& s = sched.steps[i];
@@ -121,6 +125,17 @@ SymState forward_diagnose(const Schedule& sched,
         }
       }
     }
+    if (sched.forks_products) {
+      const Operand conflict = detail::fork_conflict(sched, i);
+      if (conflict != Operand::kNone) {
+        std::ostringstream os;
+        os << step_label(sched, i) << ": " << operand_name(conflict)
+           << " shares storage with a product of the same forked run ('"
+           << step_render(s)
+           << "'); forked products must read and write disjoint storage";
+        errors.push_back(os.str());
+      }
+    }
     for (int k = 0; k < reads.count; ++k) {
       const Operand op = reads.ops[k];
       if (is_temp(op) && !detail::temp_declared(sched, op)) {
@@ -147,25 +162,6 @@ SymState forward_diagnose(const Schedule& sched,
     last_writer[static_cast<int>(s.dst)] = i;
   }
   return st;
-}
-
-// Renders a C-shaped slot's initial-C contribution, e.g. "+C11(initial)".
-std::string cin_to_string(const Lin& l) {
-  std::ostringstream os;
-  bool any = false;
-  for (int i = 0; i < 4; ++i) {
-    const int k = l.c[i];
-    if (k == 0) continue;
-    if (any) os << " ";
-    os << (k > 0 ? "+" : "-");
-    if (k != 1 && k != -1) os << (k > 0 ? k : -k) << "*";
-    os << operand_name(
-              static_cast<Operand>(static_cast<int>(Operand::kC11) + i))
-       << "(initial)";
-    any = true;
-  }
-  if (!any) os << "0";
-  return os.str();
 }
 
 }  // namespace
@@ -237,20 +233,6 @@ VerifyResult verify_schedule(const Schedule& sched) {
          << " (last written at " << step_label(sched, w) << "): computed "
          << bilinear_to_string(v.bil) << ", expected "
          << bilinear_to_string(want);
-      out.errors.push_back(os.str());
-    }
-    Lin want_cin{};
-    if (sched.accumulates_c)
-      want_cin.c[static_cast<int>(c) - static_cast<int>(Operand::kC11)] = 1;
-    if (!(v.cin == want_cin)) {
-      std::ostringstream os;
-      os << "initial-value identity fails for " << operand_name(c)
-         << " (last written at " << step_label(sched, w) << "): carries "
-         << cin_to_string(v.cin) << ", expected " << cin_to_string(want_cin)
-         << (sched.accumulates_c
-                 ? " -- an accumulating table must add onto every C "
-                   "quadrant's initial value exactly once"
-                 : " -- an overwriting table must not leak initial C values");
       out.errors.push_back(os.str());
     }
   }

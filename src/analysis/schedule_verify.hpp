@@ -22,7 +22,10 @@
 //                         form equals its Sum_k A_ik.B_kj target;
 //   6. temporary peak     the maximum number of simultaneously live
 //                         temporaries (backward liveness) equals the
-//                         schedule's declared bound.
+//                         schedule's declared bound;
+//   7. fork independence  in a table whose product runs are forked, no
+//                         product of a run reads or writes storage another
+//                         product of the same run writes.
 //
 // The core (verify_core) is constexpr and reports the FIRST violation with
 // its step index; schedule_verify.cpp static_asserts it over the shipped
@@ -53,17 +56,11 @@ struct Bilinear {
   constexpr bool operator==(const Bilinear&) const = default;
 };
 
-// One slot's symbolic value; `defined` gates every read.  C-shaped slots
-// additionally carry `cin`: a linear combination over the INITIAL values of
-// the four C quadrants (index 0..3 = C11,C12,C21,C22), which is how the
-// verifier proves accumulating schedules -- a final C quadrant must carry
-// exactly its own initial value (unit cin) in accumulating tables and none
-// at all in overwriting ones.
+// One slot's symbolic value; `defined` gates every read.
 struct SymValue {
   bool defined = false;
   Lin lin{};       // meaningful for A-/B-shaped slots
   Bilinear bil{};  // meaningful for C-shaped slots
-  Lin cin{};       // initial-C contribution; meaningful for C-shaped slots
 };
 
 struct SymState {
@@ -101,8 +98,8 @@ enum class Violation : std::uint8_t {
   kTempPeakMismatch,   // live-temporary peak != declared_temp_peak
   kBadTempBuffer,      // temp_buffer id out of range [0, temp_count)
   kSharedTempOverlap,  // temps sharing one arena buffer simultaneously live
-  kAccumClobber,       // accumulating table loses a C quadrant's initial
-                       // value (or a plain table leaks one in)
+  kForkConflict,       // a product of a forked run touches storage another
+                       // product of the run writes
 };
 
 constexpr const char* violation_name(Violation v) {
@@ -121,7 +118,7 @@ constexpr const char* violation_name(Violation v) {
     case Violation::kTempPeakMismatch: return "temp-peak-mismatch";
     case Violation::kBadTempBuffer: return "bad-temp-buffer";
     case Violation::kSharedTempOverlap: return "shared-temp-overlap";
-    case Violation::kAccumClobber: return "accum-clobber";
+    case Violation::kForkConflict: return "fork-conflict";
   }
   return "unknown";
 }
@@ -215,7 +212,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
   const int d = static_cast<int>(s.dst);
   auto lin_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].lin; };
   auto bil_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].bil; };
-  auto cin_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].cin; };
   const Shape ds = shape_of(s.dst);
   switch (s.kind) {
     case StepKind::kAdd:
@@ -227,10 +223,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
         for (int i = 0; i < 4; ++i)
           for (int j = 0; j < 4; ++j) out.c[i][j] = x.c[i][j] + sign * y.c[i][j];
         st.slot[d].bil = out;
-        const Lin cx = cin_of(s.a0), cy = cin_of(s.a1);
-        Lin cout{};
-        for (int i = 0; i < 4; ++i) cout.c[i] = cx.c[i] + sign * cy.c[i];
-        st.slot[d].cin = cout;
       } else {
         const Lin x = lin_of(s.a0), y = lin_of(s.a1);
         Lin out{};
@@ -246,8 +238,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
         const Bilinear x = bil_of(s.a0);
         for (int i = 0; i < 4; ++i)
           for (int j = 0; j < 4; ++j) st.slot[d].bil.c[i][j] += sign * x.c[i][j];
-        const Lin cx = cin_of(s.a0);
-        for (int i = 0; i < 4; ++i) st.slot[d].cin.c[i] += sign * cx.c[i];
       } else {
         const Lin x = lin_of(s.a0);
         for (int i = 0; i < 4; ++i) st.slot[d].lin.c[i] += sign * x.c[i];
@@ -261,7 +251,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
       for (int i = 0; i < 4; ++i)
         for (int j = 0; j < 4; ++j) out.c[i][j] = a.c[i] * b.c[j];
       st.slot[d].bil = out;
-      st.slot[d].cin = Lin{};  // a product overwrites any initial-C content
       break;
     }
   }
@@ -269,19 +258,13 @@ constexpr void sym_apply(const Step& s, SymState& st) {
 }
 
 // Initial symbolic state: inputs hold their own unit linear combination.
-// For accumulating tables the C quadrants are inputs too: each starts
-// defined, holding its own unit initial-C term and an empty bilinear form.
-constexpr SymState initial_state(bool accumulates = false) {
+constexpr SymState initial_state() {
   SymState st{};
   for (int i = 0; i < 4; ++i) {
     st.slot[static_cast<int>(Operand::kA11) + i].defined = true;
     st.slot[static_cast<int>(Operand::kA11) + i].lin.c[i] = 1;
     st.slot[static_cast<int>(Operand::kB11) + i].defined = true;
     st.slot[static_cast<int>(Operand::kB11) + i].lin.c[i] = 1;
-    if (accumulates) {
-      st.slot[static_cast<int>(Operand::kC11) + i].defined = true;
-      st.slot[static_cast<int>(Operand::kC11) + i].cin.c[i] = 1;
-    }
   }
   return st;
 }
@@ -292,11 +275,40 @@ constexpr bool temp_declared(const Schedule& s, Operand op) {
   return false;
 }
 
+// Storage identity of a slot: a quadrant is its own storage, a declared
+// temporary is the arena buffer it maps onto (so temps sharing a buffer
+// share storage).
+constexpr int storage_of(const Schedule& s, Operand op) {
+  for (int i = 0; i < s.temp_count; ++i)
+    if (s.temps[i] == op) return kOperandCount + temp_buffer_id(s, i);
+  return static_cast<int>(op);
+}
+
+// Fork independence of product step i against the earlier products of its
+// run (the consecutive products right before it): i must not read what one
+// of them writes, write what one of them reads, or write where one of them
+// writes.  Returns the conflicting operand of step i, or kNone.  Only
+// meaningful for forks_products tables; element-wise steps never conflict.
+constexpr Operand fork_conflict(const Schedule& s, int i) {
+  const Step& p = s.steps[i];
+  if (!is_product(p.kind)) return Operand::kNone;
+  for (int j = i - 1; j >= 0 && is_product(s.steps[j].kind); --j) {
+    const Step& q = s.steps[j];
+    const int qd = storage_of(s, q.dst);
+    if (storage_of(s, p.a0) == qd) return p.a0;
+    if (storage_of(s, p.b0) == qd) return p.b0;
+    const int pd = storage_of(s, p.dst);
+    if (pd == qd || pd == storage_of(s, q.a0) || pd == storage_of(s, q.b0))
+      return p.dst;
+  }
+  return Operand::kNone;
+}
+
 // Forward pass: structural checks + symbolic execution.  On violation,
 // fills `r` (step/operand) and returns false; otherwise `st` holds the final
 // symbolic state.
 constexpr bool sym_execute(const Schedule& sched, SymState& st, CoreResult& r) {
-  st = initial_state(sched.accumulates_c);
+  st = initial_state();
   for (int i = 0; i < sched.step_count; ++i) {
     const Step& s = sched.steps[i];
     r.step = i;
@@ -325,6 +337,14 @@ constexpr bool sym_execute(const Schedule& sched, SymState& st, CoreResult& r) {
           r.operand = s.dst;
           return false;
         }
+      }
+    }
+    if (sched.forks_products) {
+      const Operand conflict = fork_conflict(sched, i);
+      if (conflict != Operand::kNone) {
+        r.violation = Violation::kForkConflict;
+        r.operand = conflict;
+        return false;
       }
     }
     for (int k = 0; k < reads.count; ++k) {
@@ -380,6 +400,8 @@ constexpr int first_dead_store(const Schedule& sched, Operand* op) {
 // Backward liveness over the declared temporaries: peak number of
 // simultaneously live temporaries across all program points.  A temporary is
 // live at a point when some later step reads it before it is overwritten.
+// In a forks_products table a run of products is ONE program point: its
+// destinations are being written while all of its sources are still read.
 // `at_step` (optional) receives the FIRST step in program order whose entry
 // point carries the peak -- the step a diagnostic should name.
 constexpr int live_temp_peak(const Schedule& sched, int* at_step = nullptr) {
@@ -387,19 +409,30 @@ constexpr int live_temp_peak(const Schedule& sched, int* at_step = nullptr) {
   int peak = 0;
   int first = -1;
   for (int i = sched.step_count - 1; i >= 0; --i) {
-    const Step& s = sched.steps[i];
-    // Program point is BEFORE step i: kill the definition, then add reads.
+    int lo = i;
+    if (sched.forks_products)
+      while (lo > 0 && is_product(sched.steps[i].kind) &&
+             is_product(sched.steps[lo - 1].kind))
+        --lo;
+    // Program point is BEFORE step lo: kill the definitions, then add reads.
     // In-place steps both read and write dst; the read below re-marks it.
-    live[static_cast<int>(s.dst)] = false;
-    const ReadSet reads = step_reads(s);
-    for (int k = 0; k < reads.count; ++k)
-      live[static_cast<int>(reads.ops[k])] = true;
+    // A forked run keeps its destinations live alongside its sources.
+    for (int j = lo; j <= i; ++j) {
+      const Step& s = sched.steps[j];
+      live[static_cast<int>(s.dst)] = lo < i;
+      const ReadSet reads = step_reads(s);
+      for (int k = 0; k < reads.count; ++k)
+        live[static_cast<int>(reads.ops[k])] = true;
+    }
     int count = 0;
     for (int o = 0; o < kOperandCount; ++o)
       if (live[o] && is_temp(static_cast<Operand>(o))) ++count;
     if (count > peak) peak = count;
-    if (count == peak && peak > 0) first = i;  // loop runs backward: the
-                                               // last update is the earliest
+    if (count == peak && peak > 0) first = lo;  // loop runs backward: the
+                                                // last update is the earliest
+    for (int j = lo; j <= i && lo < i; ++j)
+      live[static_cast<int>(sched.steps[j].dst)] = false;
+    i = lo;
   }
   if (at_step != nullptr) *at_step = first;
   return peak;
@@ -485,18 +518,6 @@ constexpr CoreResult verify_core(const Schedule& sched) {
     }
     if (!(v.bil == c_target(c))) {
       r.violation = Violation::kProductIdentity;
-      r.operand = c;
-      return r;
-    }
-    // Initial-C term: an accumulating table must deliver C += A.B -- each
-    // quadrant carries exactly its own initial value -- and an overwriting
-    // table must deliver none (trivially zero when C starts undefined, but
-    // checked so a mislabelled table cannot pass).
-    Lin want{};
-    if (sched.accumulates_c)
-      want.c[static_cast<int>(c) - static_cast<int>(Operand::kC11)] = 1;
-    if (!(v.cin == want)) {
-      r.violation = Violation::kAccumClobber;
       r.operand = c;
       return r;
     }

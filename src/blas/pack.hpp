@@ -8,20 +8,17 @@
 // boundary tile that must be zero-padded, or a widely strided view --
 // pack_panel gathers it into a dense 64-byte-aligned panel, folding the
 // transpose, the zero padding and an optional alpha scale into the single
-// pass.  pack_panel_sum additionally folds a ± combination of two sources
-// into that pass (Huang et al., "Implementing Strassen's Algorithm with
-// BLIS"); the pack-fused strategy does not call it -- its operand sums are
-// the schedule's element-wise steps.
+// pass.  The strategy's operand sums are the schedule's element-wise steps,
+// not part of the packing.
 //
 // A packed panel holds EXACTLY the values the Morton conversion would have
-// staged for the same tile (same single add/sub per element, zeros in the
-// padded region), which is what keeps the pack-fused strategy bit-identical
-// to the Morton strategy (see docs/DESIGN.md).
+// staged for the same tile (zeros in the padded region), which is what keeps
+// the pack-fused strategy bit-identical to the Morton strategy (see
+// docs/DESIGN.md).
 #pragma once
 
 #include <cstddef>
 
-#include "analysis/schedule.hpp"
 #include "common/check.hpp"
 
 namespace strassen::blas {
@@ -60,26 +57,6 @@ struct PackSrc {
   }
 };
 
-namespace detail {
-
-// One packed column j: dst[0..pr) = alpha * (a ± b)(., j), zero-filled
-// beyond the stored extents.  Single-source callers pass b.ptr == nullptr.
-template <class T>
-inline void pack_col(T* dst, int pr, int j, const PackSrc<T>& a,
-                     analysis::Sign s, const PackSrc<T>* b, T alpha) {
-  const bool plus = s == analysis::Sign::kPlus;
-  for (int i = 0; i < pr; ++i) {
-    T v = a.at(i, j);
-    if (b != nullptr) {
-      const T w = b->at(i, j);
-      v = plus ? static_cast<T>(v + w) : static_cast<T>(v - w);
-    }
-    dst[i] = alpha == T{1} ? v : static_cast<T>(alpha * v);
-  }
-}
-
-}  // namespace detail
-
 // dst (pr x pc, column-major, leading dimension pr) <- alpha * a, zero-filled
 // outside a's stored extent.  Every element of dst is written -- a previously
 // poisoned buffer comes out fully defined.
@@ -101,26 +78,13 @@ void pack_panel(T* dst, int pr, int pc, const PackSrc<T>& a, T alpha = T{1}) {
     }
     return;
   }
-  for (int j = 0; j < pc; ++j)
-    detail::pack_col(dst + static_cast<std::size_t>(j) * pr, pr, j, a,
-                     analysis::Sign::kPlus, static_cast<const PackSrc<T>*>(nullptr),
-                     alpha);
-}
-
-// dst (pr x pc, column-major, leading dimension pr) <- alpha * (a ± b): the
-// Winograd operand combination folded into the gather, one pass instead of
-// materialize-then-pack.  Elements outside either source's stored extent
-// contribute zero, so the panel equals the combination of the zero-padded
-// operands.  Every element of dst is written.
-template <class T>
-void pack_panel_sum(T* dst, int pr, int pc, const PackSrc<T>& a,
-                    analysis::Sign s, const PackSrc<T>& b, T alpha = T{1}) {
-  STRASSEN_ASSERT(pr >= 0 && pc >= 0);
-  STRASSEN_ASSERT(a.rows <= pr && a.cols <= pc);
-  STRASSEN_ASSERT(b.rows <= pr && b.cols <= pc);
-  for (int j = 0; j < pc; ++j)
-    detail::pack_col(dst + static_cast<std::size_t>(j) * pr, pr, j, a, s, &b,
-                     alpha);
+  for (int j = 0; j < pc; ++j) {
+    T* d = dst + static_cast<std::size_t>(j) * pr;
+    for (int i = 0; i < pr; ++i) {
+      const T v = a.at(i, j);
+      d[i] = alpha == T{1} ? v : static_cast<T>(alpha * v);
+    }
+  }
 }
 
 }  // namespace strassen::blas

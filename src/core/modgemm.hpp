@@ -460,154 +460,6 @@ void modgemm_single(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                  report);
 }
 
-// Fused evaluation of one C block of a split product using the accumulating
-// schedule: all k-chunks share a single Morton C buffer -- chunk 0 runs the
-// overwriting recursion, later chunks run winograd_recurse_acc on top of it,
-// and ONE from_morton applies alpha/beta at the end.  Compared to the
-// per-chunk loop this removes n_k - 1 round trips of C through from_morton /
-// to-column-major accumulation.  Only attempted for the low-memory families
-// (the default family stays bit-identical to the per-chunk path).  Returns
-// false -- with C untouched -- when the chunk geometries disagree, the fused
-// workspace exceeds the budget, or allocation fails; the caller then runs
-// the per-chunk loop.
-template <class MM, class T>
-bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
-                               const layout::Chunk& cn,
-                               const std::vector<layout::Chunk>& k_chunks,
-                               T alpha, const T* A, int lda, const T* B,
-                               int ldb, T beta, T* C, int ldc,
-                               const ModgemmOptions& opt,
-                               analysis::ScheduleFamily resolved,
-                               ModgemmReport* report) {
-  using analysis::ScheduleFamily;
-  if (resolved != ScheduleFamily::kLowMem &&
-      resolved != ScheduleFamily::kInPlace)
-    return false;
-  const int nk = static_cast<int>(k_chunks.size());
-  if (nk < 2) return false;
-  // Every k-chunk sub-plan must be a feasible Strassen plan agreeing on the
-  // C-facing geometry (m/n tiles and depth) so the chunks can share one
-  // Morton C buffer.
-  std::vector<layout::GemmPlan> subs;
-  subs.reserve(static_cast<std::size_t>(nk));
-  for (const auto& ck : k_chunks) {
-    layout::GemmPlan sub =
-        layout::plan_gemm(cm.size, ck.size, cn.size, opt.tiles);
-    sub = apply_workspace_budget(sub, cm.size, ck.size, cn.size, opt,
-                                 sizeof(T), report, resolved);
-    if (sub.direct || !sub.feasible) return false;
-    if (!subs.empty() &&
-        (sub.m.tile != subs[0].m.tile || sub.n.tile != subs[0].n.tile ||
-         sub.depth != subs[0].depth))
-      return false;
-    subs.push_back(sub);
-  }
-  const int depth = subs[0].depth;
-  const layout::MortonLayout lc{cm.size, cn.size, subs[0].m.tile,
-                                subs[0].n.tile, depth};
-  auto r64 = [](std::size_t b) { return checked_add(b, 63) / 64 * 64; };
-  // Accumulating chunks recurse their sub-products with the low-mem table
-  // (the in-place table runs only where the recursion owns the operands,
-  // i.e. chunk 0's top level).
-  const ScheduleFamily acc_fam = resolved == ScheduleFamily::kInPlace
-                                     ? ScheduleFamily::kLowMem
-                                     : resolved;
-  std::size_t total = r64(layout::buffer_bytes(lc, sizeof(T)));
-  std::size_t chunk_peak = 0;
-  std::size_t saved = 0;
-  for (int i = 0; i < nk; ++i) {
-    const layout::GemmPlan& sub = subs[i];
-    const layout::MortonLayout la{cm.size, k_chunks[i].size, sub.m.tile,
-                                  sub.k.tile, depth};
-    const layout::MortonLayout lb{k_chunks[i].size, cn.size, sub.k.tile,
-                                  sub.n.tile, depth};
-    const std::size_t ov = winograd_workspace_bytes(
-        sub.m.tile, sub.k.tile, sub.n.tile, depth, sizeof(T), resolved);
-    const std::size_t ac = winograd_accum_workspace_bytes(
-        sub.m.tile, sub.k.tile, sub.n.tile, depth, sizeof(T), acc_fam);
-    const std::size_t w = checked_add(
-        checked_add(r64(layout::buffer_bytes(la, sizeof(T))),
-                    r64(layout::buffer_bytes(lb, sizeof(T)))),
-        std::max(ov, ac));
-    chunk_peak = std::max(chunk_peak, w);
-    const std::size_t def = winograd_workspace_bytes(
-        sub.m.tile, sub.k.tile, sub.n.tile, depth, sizeof(T));
-    if (def > ov) saved += def - ov;
-  }
-  total = checked_add(total, chunk_peak);
-  // The budget bounds the call's live temporary set; the fused block holds
-  // Cm across all chunks, so its peak must fit as a whole.
-  if (opt.max_workspace_bytes != 0 && total > opt.max_workspace_bytes)
-    return false;
-  try {
-    Arena arena(total);
-    T* Cm = arena.push<T>(static_cast<std::size_t>(lc.elems()));
-    WallTimer t;
-    double t_in = 0;
-    double t_mul = 0;
-    for (int i = 0; i < nk; ++i) {
-      const auto& ck = k_chunks[i];
-      const layout::GemmPlan& sub = subs[i];
-      const T* Ablk =
-          opa == Op::NoTrans
-              ? A + static_cast<std::size_t>(ck.offset) * lda + cm.offset
-              : A + static_cast<std::size_t>(cm.offset) * lda + ck.offset;
-      const T* Bblk =
-          opb == Op::NoTrans
-              ? B + static_cast<std::size_t>(cn.offset) * ldb + ck.offset
-              : B + static_cast<std::size_t>(ck.offset) * ldb + cn.offset;
-      const layout::MortonLayout la{cm.size, ck.size, sub.m.tile, sub.k.tile,
-                                    depth};
-      const layout::MortonLayout lb{ck.size, cn.size, sub.k.tile, sub.n.tile,
-                                    depth};
-      Arena::Frame frame(arena);
-      T* Am = arena.push<T>(static_cast<std::size_t>(la.elems()));
-      T* Bm = arena.push<T>(static_cast<std::size_t>(lb.elems()));
-      t.restart();
-      layout::to_morton(mm, la, Am, opa, Ablk, lda);
-      layout::to_morton(mm, lb, Bm, opb, Bblk, ldb);
-      t_in += t.seconds();
-      t.restart();
-      if (i == 0) {
-        if (resolved == ScheduleFamily::kInPlace)
-          winograd_recurse_inplace(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile,
-                                   sub.n.tile, depth, arena);
-        else
-          winograd_recurse(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile, sub.n.tile,
-                           depth, arena, resolved);
-      } else {
-        winograd_recurse_acc(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile,
-                             sub.n.tile, depth, arena, acc_fam);
-      }
-      t_mul += t.seconds();
-    }
-    t.restart();
-    T* Cblk = C + static_cast<std::size_t>(cn.offset) * ldc + cm.offset;
-    layout::from_morton(mm, lc, Cm, alpha, Cblk, ldc, beta);
-    const double t_out = t.seconds();
-    if (report) {
-      report->convert_in_seconds += t_in;
-      report->compute_seconds += t_mul;
-      report->convert_out_seconds += t_out;
-      report->plan = subs[0];
-      report->plan.strategy = layout::ExecStrategy::kMorton;
-      report->strategy = layout::strategy_name(layout::ExecStrategy::kMorton);
-      report->schedule = analysis::family_name(resolved);
-      report->workspace_saved_bytes += saved;
-      report->products += nk;
-      report->workspace_requested_bytes += total;
-      ++report->workspace_allocations;
-      report->workspace_peak_bytes =
-          std::max(report->workspace_peak_bytes, arena.peak());
-    }
-    return true;
-  } catch (const std::bad_alloc&) {
-    // All allocation happens before the single from_morton write-back, so C
-    // is untouched; the per-chunk ladder takes over.
-    return false;
-  }
-}
-
 }  // namespace detail
 
 // The full MODGEMM entry point, templated on the memory model so complete
@@ -714,16 +566,6 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   if (report) report->split_used = true;
   for (const auto& cm : split.m_chunks) {
     for (const auto& cn : split.n_chunks) {
-      // Low-memory families first try the fused accumulating evaluation of
-      // this block (one shared Morton C, a single alpha/beta write-back) --
-      // a Morton-strategy optimization, so a pack-fused pin/env skips it in
-      // favor of the per-chunk loop below.
-      if (strat != layout::ExecStrategy::kPackFused &&
-          detail::modgemm_split_block_fused(mm, opa, opb, cm, cn,
-                                            split.k_chunks, alpha, A, lda, B,
-                                            ldb, beta, C, ldc, opt, resolved,
-                                            report))
-        continue;
       bool first = true;
       for (const auto& ck : split.k_chunks) {
         // Locate the stored sub-blocks of op(A) and op(B).

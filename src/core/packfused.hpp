@@ -26,8 +26,9 @@
 //
 // Bit-exactness contract (tested in tests/test_packfused.cpp): for every
 // alpha/beta and kernel, the pack-fused strategy produces BIT-IDENTICAL
-// results to the Morton strategy.  This holds because (1) the table
-// selection below mirrors winograd_recurse exactly, (2) every element-wise
+// results to the Morton strategy.  This holds because (1) both strategies
+// run every level through the same interpreter (core::detail::run_level)
+// with the same table selection, (2) every element-wise
 // step performs the same single +/- per element on the same values, (3)
 // every leaf invokes the same kernel entry on the same tile values (a packed
 // panel replicates the Morton tile bit-for-bit; a pass-through view feeds
@@ -63,6 +64,7 @@
 #include "common/matrix.hpp"
 #include "common/memmodel.hpp"
 #include "common/timer.hpp"
+#include "core/winograd.hpp"
 #include "core/workspace.hpp"
 #include "layout/morton.hpp"
 #include "layout/plan.hpp"
@@ -180,95 +182,56 @@ void leaf_product(T* dst, int ldd, int dr, int dc, const PackSrc<T>& a0,
   }
 }
 
-}  // namespace detail
-
-// C-view (real crows x ccols window of the padded (tm<<depth) x (tn<<depth)
-// product, leading dimension ldc) = A-view . B-view, by the `family`
-// schedule tables.  Mirrors core::winograd_recurse level for level: same
-// table selection, same temporary sizes and push order, same step sequence.
+// Pack-fused addressing for core::detail::run_level: every operand is a
+// clipped view -- a quadrant of the user's A or B, a C-quadrant window, or a
+// recursion temporary.  Writable slots (C quadrants and temporaries) are
+// never transposed and their view ld doubles as the store leading
+// dimension.
 template <class T>
-void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
-             const PackSrc<T>& B, int tm, int tk, int tn, int depth,
-             Arena& arena, analysis::ScheduleFamily family) {
-  using analysis::Operand;
-  using analysis::StepKind;
-  if (depth == 0) {
-    detail::leaf_product<T>(C, ldc, crows, ccols, A, B, tm, tk, tn, arena);
-    return;
-  }
-  const int d1 = depth - 1;
-  const int hm = tm << d1;
-  const int hk = tk << d1;
-  const int hn = tn << d1;
+class PackSlots {
+ public:
+  // One recursive product: the destination's clipped window and the two
+  // operand views.
+  struct Product {
+    T* c;
+    int ldc, rows, cols;
+    PackSrc<T> a, b;
+  };
 
-  // Table selection: identical to winograd_recurse.  The low-mem family (and
-  // the sub-levels of in-place, already mapped to low-mem) runs the 2-buffer
-  // table, the default family the paper's schedule.
-  const bool low_mem = family == analysis::ScheduleFamily::kLowMem ||
-                       family == analysis::ScheduleFamily::kInPlace;
-  const analysis::Schedule& sched =
-      low_mem ? analysis::kWinogradLowMem : analysis::kWinograd;
-
-  // Operand slot tables: a read view per slot, a writable base for C
-  // quadrants and temporaries.  Writable slots are never transposed and
-  // their view ld doubles as the store leading dimension.
-  PackSrc<T> rd[analysis::kOperandCount] = {};
-  T* wr[analysis::kOperandCount] = {};
-  auto idx = [](Operand op) { return static_cast<int>(op); };
-
-  rd[idx(Operand::kA11)] = quad(A, 0, 0, hm, hk);
-  rd[idx(Operand::kA12)] = quad(A, 0, hk, hm, hk);
-  rd[idx(Operand::kA21)] = quad(A, hm, 0, hm, hk);
-  rd[idx(Operand::kA22)] = quad(A, hm, hk, hm, hk);
-  rd[idx(Operand::kB11)] = quad(B, 0, 0, hk, hn);
-  rd[idx(Operand::kB12)] = quad(B, 0, hn, hk, hn);
-  rd[idx(Operand::kB21)] = quad(B, hk, 0, hk, hn);
-  rd[idx(Operand::kB22)] = quad(B, hk, hn, hk, hn);
-
-  PackSrc<T> cview{C, ldc, false, crows, ccols};
-  const Operand cquads[] = {Operand::kC11, Operand::kC12, Operand::kC21,
-                            Operand::kC22};
-  const int coff[][2] = {{0, 0}, {0, hn}, {hm, 0}, {hm, hn}};
-  for (int q = 0; q < 4; ++q) {
-    PackSrc<T> v = quad(cview, coff[q][0], coff[q][1], hm, hn);
-    rd[idx(cquads[q])] = v;
-    wr[idx(cquads[q])] = const_cast<T*>(v.ptr);
+  // Quadrants of C-view (real crows x ccols window, leading dimension ldc)
+  // = A-view . B-view at a level whose children have depth d1.
+  PackSlots(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
+            const PackSrc<T>& B, int tm, int tk, int tn, int d1)
+      : hm_(tm << d1), hk_(tk << d1), hn_(tn << d1) {
+    q_[0] = static_cast<std::size_t>(hm_) * hk_;
+    q_[1] = static_cast<std::size_t>(hk_) * hn_;
+    q_[2] = static_cast<std::size_t>(hm_) * hn_;
+    const PackSrc<T> cview{C, ldc, false, crows, ccols};
+    for (int i = 0; i < 4; ++i) {
+      const int r = i / 2, c = i % 2;  // 11, 12, 21, 22
+      rd_[idx(analysis::Operand::kA11) + i] =
+          quad(A, r * hm_, c * hk_, hm_, hk_);
+      rd_[idx(analysis::Operand::kB11) + i] =
+          quad(B, r * hk_, c * hn_, hk_, hn_);
+      const PackSrc<T> v = quad(cview, r * hm_, c * hn_, hm_, hn_);
+      rd_[idx(analysis::Operand::kC11) + i] = v;
+      wr_[idx(analysis::Operand::kC11) + i] = const_cast<T*>(v.ptr);
+    }
   }
 
-  // Temporaries: one arena push per distinct buffer id, sized for the
-  // largest shape mapped onto it -- the same sizes and order as
-  // winograd_recurse's push_and_bind_temps, so the arena peak matches the
-  // Morton strategy's recursion exactly.
-  Arena::Frame frame(arena);
-  {
-    auto shape_elems = [&](Operand t) -> std::size_t {
-      const analysis::Shape s = analysis::shape_of(t);
-      return s == analysis::Shape::kA
-                 ? static_cast<std::size_t>(hm) * hk
-                 : s == analysis::Shape::kB ? static_cast<std::size_t>(hk) * hn
-                                            : static_cast<std::size_t>(hm) * hn;
-    };
-    std::size_t buf_elems[analysis::kMaxTemps] = {};
-    T* bufs[analysis::kMaxTemps] = {};
-    const int nbuf = analysis::temp_buffer_count(sched);
-    for (int i = 0; i < sched.temp_count; ++i) {
-      const int b = analysis::temp_buffer_id(sched, i);
-      buf_elems[b] = std::max(buf_elems[b], shape_elems(sched.temps[i]));
-    }
-    for (int b = 0; b < nbuf; ++b) bufs[b] = arena.push<T>(buf_elems[b]);
-    for (int i = 0; i < sched.temp_count; ++i) {
-      const Operand t = sched.temps[i];
-      const analysis::Shape s = analysis::shape_of(t);
-      const int rows = s == analysis::Shape::kA ? hm
-                       : s == analysis::Shape::kB ? hk
-                                                  : hm;
-      const int cols = s == analysis::Shape::kA ? hk
-                       : s == analysis::Shape::kB ? hn
-                                                  : hn;
-      T* base = bufs[analysis::temp_buffer_id(sched, i)];
-      rd[idx(t)] = PackSrc<T>{base, rows, false, rows, cols};
-      wr[idx(t)] = base;
-    }
+  const std::size_t* quad_elems() const { return q_; }
+  void bind_temp(analysis::Operand op, T* base) {
+    const analysis::Shape s = analysis::shape_of(op);
+    const int rows = s == analysis::Shape::kB ? hk_ : hm_;
+    const int cols = s == analysis::Shape::kA ? hk_ : hn_;
+    rd_[idx(op)] = PackSrc<T>{base, rows, false, rows, cols};
+    wr_[idx(op)] = base;
+  }
+  bool writable(analysis::Operand op) const { return wr_[idx(op)] != nullptr; }
+  Product product(const analysis::Step& s) const {
+    const PackSrc<T>& dv = rd_[idx(s.dst)];
+    return {wr_[idx(s.dst)], dv.ld, dv.rows, dv.cols, rd_[idx(s.a0)],
+            rd_[idx(s.b0)]};
   }
 
   // Element-wise step over the destination's extent; source reads clip to
@@ -278,15 +241,13 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
   // blas::vadd/vsub call so kernel telemetry matches the Morton strategy.
   // Columns split into a dense in-bounds run (tight, vectorizable) and a
   // clipped tail; transposed user operands take the generic gather.
-  auto elementwise = [&](const analysis::Step& s) {
-    T* dst = wr[idx(s.dst)];
-    STRASSEN_REQUIRE(dst != nullptr, "schedule step writes read-only operand "
-                                         << analysis::operand_name(s.dst));
-    const PackSrc<T>& dv = rd[idx(s.dst)];
-    const PackSrc<T>& x = rd[idx(s.a0)];
-    const bool binary =
-        s.kind == StepKind::kAdd || s.kind == StepKind::kSub;
-    const PackSrc<T>& y = rd[idx(binary ? s.a1 : s.a0)];
+  void elementwise(const analysis::Step& s) {
+    using analysis::StepKind;
+    T* dst = wr_[idx(s.dst)];
+    const PackSrc<T>& dv = rd_[idx(s.dst)];
+    const PackSrc<T>& x = rd_[idx(s.a0)];
+    const bool binary = s.kind == StepKind::kAdd || s.kind == StepKind::kSub;
+    const PackSrc<T>& y = rd_[idx(binary ? s.a1 : s.a0)];
     if (obs::Collector* c = obs::current()) c->note_elementwise();
     const int rows = dv.rows;
     if (x.trans || (binary && y.trans)) {
@@ -349,33 +310,42 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
           break;
       }
     }
-  };
-
-  for (int i = 0; i < sched.step_count; ++i) {
-    const analysis::Step& s = sched.steps[i];
-    switch (s.kind) {
-      case StepKind::kAdd:
-      case StepKind::kSub:
-      case StepKind::kAddInplace:
-      case StepKind::kSubInplace:
-        elementwise(s);
-        break;
-      case StepKind::kMul: {
-        T* dst = wr[idx(s.dst)];
-        STRASSEN_REQUIRE(dst != nullptr, "schedule product writes read-only "
-                                             << analysis::operand_name(s.dst));
-        const PackSrc<T>& dv = rd[idx(s.dst)];
-        if (d1 == 0) {
-          detail::leaf_product<T>(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)],
-                                  rd[idx(s.b0)], tm, tk, tn, arena);
-        } else {
-          recurse(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)], rd[idx(s.b0)],
-                  tm, tk, tn, d1, arena, family);
-        }
-        break;
-      }
-    }
   }
+
+ private:
+  static constexpr int idx(analysis::Operand op) {
+    return static_cast<int>(op);
+  }
+
+  int hm_, hk_, hn_;
+  std::size_t q_[3];
+  PackSrc<T> rd_[analysis::kOperandCount] = {};
+  T* wr_[analysis::kOperandCount] = {};
+};
+
+}  // namespace detail
+
+// C-view (real crows x ccols window of the padded (tm<<depth) x (tn<<depth)
+// product, leading dimension ldc) = A-view . B-view, by the `family`
+// schedule tables: the Morton recursion's interpreter, table selection and
+// temporary sizes over pack-fused addressing.
+template <class T>
+void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
+             const PackSrc<T>& B, int tm, int tk, int tn, int depth,
+             Arena& arena, analysis::ScheduleFamily family) {
+  if (depth == 0) {
+    detail::leaf_product<T>(C, ldc, crows, ccols, A, B, tm, tk, tn, arena);
+    return;
+  }
+  detail::PackSlots<T> slots(C, ldc, crows, ccols, A, B, tm, tk, tn,
+                             depth - 1);
+  core::detail::SerialProducts products{
+      [&](const typename detail::PackSlots<T>::Product& p) {
+        recurse(p.c, p.ldc, p.rows, p.cols, p.a, p.b, tm, tk, tn, depth - 1,
+                arena, family);
+      }};
+  core::detail::run_level<T>(analysis::level_schedule(family), slots,
+                             products, arena);
 }
 
 }  // namespace packfused

@@ -1,4 +1,5 @@
-// winograd.hpp -- the Strassen-Winograd recursion over Morton storage.
+// winograd.hpp -- the Strassen-Winograd level interpreter and the Morton
+// recursion.
 //
 // This is the computational heart of MODGEMM.  A Morton block of depth d is
 // four contiguous sub-blocks (NW=11, NE=12, SW=21, SE=22 in matrix-quadrant
@@ -7,26 +8,34 @@
 // loops (paper S3.3).
 //
 // The SCHEDULE -- which quadrant addition or recursive product runs when,
-// and which of the three temporaries (tS over A-quadrants, tT over
-// B-quadrants, tP over C-quadrants) holds what -- is data, not code:
-// analysis/schedule.hpp declares it as a constexpr step table
-// (analysis::kWinograd, 7 recursive products + 15 additions -- the minimum
-// for quadrant-based recursion, as the paper notes -- with C's quadrants
-// doubling as scratch so only three temporaries are live per level), and
-// the interpreter below executes the table step by step.  The verifier
-// (analysis/schedule_verify.hpp) symbolically proves every shipped table
-// correct at compile time: product identity, no use of clobbered values,
-// and the 3-temporary liveness peak.  See docs/ANALYSIS.md for the table
-// format and the exact guarantees.
+// and which temporaries hold what -- is data, not code: analysis/schedule.hpp
+// declares it as constexpr step tables (analysis::kWinograd, 7 recursive
+// products + 15 additions -- the minimum for quadrant-based recursion, as
+// the paper notes -- with C's quadrants doubling as scratch so only three
+// temporaries are live per level), and the verifier
+// (analysis/schedule_verify.hpp) proves every shipped table at compile time.
+// See docs/ANALYSIS.md for the table format and the exact guarantees.
 //
-// Every operand sum is materialized once, by a contiguous vadd/vsub into a
+// run_level below is the ONE interpreter every Winograd level runs through,
+// whichever way it stores its operands and runs its products.  It owns the
+// per-buffer temporary pushes and the step dispatch, and is templated on two
+// policies:
+//
+//   addressing  where each operand lives and how element-wise steps run over
+//               it: Morton quadrants with contiguous vadd/vsub (MortonSlots,
+//               here) or clipped column-major views (core/packfused.hpp);
+//   products    how a recursive product runs: a serial recursive call
+//               (SerialProducts), or a task forked onto a TaskGroup and
+//               joined before the next element-wise step (the spawn level of
+//               parallel/pmodgemm.cpp).
+//
+// Every operand sum is materialized once, by an element-wise pass into a
 // quadrant-sized temporary, on every level, kernel and memory model: the
-// leaf products always receive plain contiguous tiles and run the kernel's
-// full-rate gemm entry.  For contiguous Morton quadrants that element-wise
-// pass is the packing step BLIS-style Strassen folds the sums into.
+// leaf products always receive plain tiles and run the kernel's full-rate
+// gemm entry.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "analysis/schedule.hpp"
 #include "blas/kernels.hpp"
@@ -37,74 +46,118 @@
 
 namespace strassen::core {
 
-template <class MM, class T>
-void winograd_recurse(
-    MM& mm, T* C, const T* A, const T* B, int tm, int tk, int tn, int depth,
-    Arena& arena,
-    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
-
 namespace detail {
 
-// Executes one schedule level over concrete quadrant/temporary storage.
-// Pointer tables are indexed by analysis::Operand; `wr` is null for the
-// read-only input quadrants, which the verified tables never write
-// (enforced again here for mutated tables reaching a debug build).
+// Runs one Strassen-Winograd level of `sched`.  `slots` is the addressing
+// policy: quad_elems() (elements of one quadrant per analysis::Shape),
+// bind_temp(op, base), writable(op), product(step) and elementwise(step).
+// `products` is the product policy: run(slots.product(step)) starts one
+// recursive product and join() waits for every started one; the interpreter
+// joins before the first element-wise step after a run of products, and at
+// the end.  The temporaries are pushed onto `arena` -- one push per distinct
+// buffer id, sized for the largest shape mapped onto it -- and released on
+// return.
+template <class T, class Slots, class Products>
+void run_level(const analysis::Schedule& sched, Slots& slots,
+               Products& products, Arena& arena) {
+  Arena::Frame frame(arena);
+  std::size_t elems[analysis::kMaxTemps];
+  T* bufs[analysis::kMaxTemps] = {};
+  const int nbuf =
+      analysis::temp_buffer_sizes(sched, slots.quad_elems(), elems);
+  for (int b = 0; b < nbuf; ++b) bufs[b] = arena.push<T>(elems[b]);
+  for (int i = 0; i < sched.temp_count; ++i)
+    slots.bind_temp(sched.temps[i], bufs[analysis::temp_buffer_id(sched, i)]);
+
+  bool pending = false;
+  for (int i = 0; i < sched.step_count; ++i) {
+    const analysis::Step& s = sched.steps[i];
+    STRASSEN_REQUIRE(slots.writable(s.dst),
+                     "schedule step writes read-only operand "
+                         << analysis::operand_name(s.dst));
+    if (analysis::is_product(s.kind)) {
+      products.run(slots.product(s));
+      pending = true;
+      continue;
+    }
+    if (pending) products.join();
+    pending = false;
+    slots.elementwise(s);
+  }
+  if (pending) products.join();
+}
+
+// Serial product policy: each product is one recursive call, complete
+// before run() returns.
+template <class Recurse>
+struct SerialProducts {
+  Recurse recurse;
+  template <class Product>
+  void run(const Product& p) {
+    recurse(p);
+  }
+  void join() {}
+};
+
+// Morton addressing: every operand is a contiguous quadrant or an arena
+// temporary, and element-wise steps are single contiguous blas::vadd/vsub
+// calls.  The A/B quadrants are read-only unless the level owns them (the
+// in-place table's top level), which the interpreter enforces per step.
 template <class MM, class T>
-class ScheduleInterpreter {
+class MortonSlots {
  public:
-  ScheduleInterpreter(MM& mm, int tm, int tk, int tn, int d1,
-                      analysis::ScheduleFamily family)
-      : mm_(mm), tm_(tm), tk_(tk), tn_(tn), d1_(d1), family_(family) {
-    for (int i = 0; i < analysis::kOperandCount; ++i) {
-      rd_[i] = nullptr;
-      wr_[i] = nullptr;
-      len_[i] = 0;
+  // One recursive product: C-shaped destination and its two operands.
+  struct Product {
+    T* c;
+    const T* a;
+    const T* b;
+  };
+
+  // Quadrants of the level whose children are depth d1 (leaf tiles
+  // tm x tk, tk x tn, tm x tn), in memory order NW, NE, SW, SE.
+  MortonSlots(MM& mm, T* C, const T* A, const T* B, int tm, int tk, int tn,
+              int d1, bool owns_inputs = false)
+      : mm_(mm) {
+    const std::size_t scale = std::size_t{1} << (2 * d1);
+    q_[0] = static_cast<std::size_t>(tm) * tk * scale;
+    q_[1] = static_cast<std::size_t>(tk) * tn * scale;
+    q_[2] = static_cast<std::size_t>(tm) * tn * scale;
+    for (int i = 0; i < 4; ++i) {
+      bind(static_cast<int>(analysis::Operand::kA11) + i, A + i * q_[0],
+           owns_inputs);
+      bind(static_cast<int>(analysis::Operand::kB11) + i, B + i * q_[1],
+           owns_inputs);
+      bind(static_cast<int>(analysis::Operand::kC11) + i, C + i * q_[2],
+           true);
     }
   }
 
-  void bind_input(analysis::Operand op, const T* p, std::size_t n) {
-    rd_[idx(op)] = p;
-    len_[idx(op)] = n;
-  }
-  void bind_output(analysis::Operand op, T* p, std::size_t n) {
-    rd_[idx(op)] = p;
-    wr_[idx(op)] = p;
-    len_[idx(op)] = n;
-  }
-  // Writable A/B operand slot of an in-place table (overwrites_inputs): the
-  // interpreter may overwrite it with operand sums.  Identical binding to
-  // bind_output; the distinct name keeps call sites auditable.
-  void bind_inout(analysis::Operand op, T* p, std::size_t n) {
-    bind_output(op, p, n);
+  const std::size_t* quad_elems() const { return q_; }
+  void bind_temp(analysis::Operand op, T* p) { bind(idx(op), p, true); }
+  bool writable(analysis::Operand op) const { return wr_[idx(op)] != nullptr; }
+  Product product(const analysis::Step& s) const {
+    return {wr_[idx(s.dst)], rd_[idx(s.a0)], rd_[idx(s.b0)]};
   }
 
-  void run(const analysis::Schedule& sched, Arena& arena) {
+  void elementwise(const analysis::Step& s) {
     using analysis::StepKind;
-    for (int i = 0; i < sched.step_count; ++i) {
-      const analysis::Step& s = sched.steps[i];
-      T* dst = wr_[idx(s.dst)];
-      STRASSEN_REQUIRE(dst != nullptr,
-                       "schedule step writes read-only operand "
-                           << analysis::operand_name(s.dst));
-      const std::size_t n = len_[idx(s.dst)];
-      switch (s.kind) {
-        case StepKind::kAdd:
-          blas::vadd(mm_, n, dst, rd_[idx(s.a0)], rd_[idx(s.a1)]);
-          break;
-        case StepKind::kSub:
-          blas::vsub(mm_, n, dst, rd_[idx(s.a0)], rd_[idx(s.a1)]);
-          break;
-        case StepKind::kAddInplace:
-          blas::vadd_inplace(mm_, n, dst, rd_[idx(s.a0)]);
-          break;
-        case StepKind::kSubInplace:
-          blas::vsub_inplace(mm_, n, dst, rd_[idx(s.a0)]);
-          break;
-        case StepKind::kMul:
-          winograd_recurse(mm_, dst, rd_[idx(s.a0)], rd_[idx(s.b0)], tm_, tk_,
-                           tn_, d1_, arena, family_);
-          break;
-      }
+    T* dst = wr_[idx(s.dst)];
+    const std::size_t n = q_[static_cast<int>(analysis::shape_of(s.dst))];
+    switch (s.kind) {
+      case StepKind::kAdd:
+        blas::vadd(mm_, n, dst, rd_[idx(s.a0)], rd_[idx(s.a1)]);
+        break;
+      case StepKind::kSub:
+        blas::vsub(mm_, n, dst, rd_[idx(s.a0)], rd_[idx(s.a1)]);
+        break;
+      case StepKind::kAddInplace:
+        blas::vadd_inplace(mm_, n, dst, rd_[idx(s.a0)]);
+        break;
+      case StepKind::kSubInplace:
+        blas::vsub_inplace(mm_, n, dst, rd_[idx(s.a0)]);
+        break;
+      case StepKind::kMul:
+        break;  // products go through the product policy
     }
   }
 
@@ -112,46 +165,39 @@ class ScheduleInterpreter {
   static constexpr int idx(analysis::Operand op) {
     return static_cast<int>(op);
   }
+  // Writable slots are C quadrants, temporaries and the A/B copies an
+  // in-place level owns -- storage the caller handed over as writable.
+  void bind(int i, const T* p, bool writable) {
+    rd_[i] = p;
+    wr_[i] = writable ? const_cast<T*>(p) : nullptr;
+  }
 
   MM& mm_;
-  int tm_, tk_, tn_, d1_;
-  analysis::ScheduleFamily family_;
-  const T* rd_[analysis::kOperandCount];
-  T* wr_[analysis::kOperandCount];
-  std::size_t len_[analysis::kOperandCount];
+  std::size_t q_[3];
+  const T* rd_[analysis::kOperandCount] = {};
+  T* wr_[analysis::kOperandCount] = {};
 };
 
-// Pushes the schedule's temporaries onto the arena -- one allocation per
-// DISTINCT buffer id, sized for the largest shape mapped onto it -- and
-// binds each temporary.  For identity mappings (the default family) this is
-// byte-for-byte the seed's push order and sizes (tS, tT, tP = qa, qb, qc);
-// the low-mem table maps tS and tP onto one buffer sized max(qa, qc), which
-// the verifier proved safe (disjoint live ranges).
+// The Morton recursion: C = A * B over Morton blocks, every level through
+// run_level with the serial product policy.  `owns_inputs` marks a top level
+// whose A/B blocks may be overwritten (the in-place family's table runs
+// there); children never own their operands.
 template <class MM, class T>
-void push_and_bind_temps(ScheduleInterpreter<MM, T>& interp,
-                         const analysis::Schedule& sched, Arena& arena,
-                         std::size_t qa, std::size_t qb, std::size_t qc) {
-  using analysis::Operand;
-  auto elems = [&](Operand t) {
-    return analysis::shape_of(t) == analysis::Shape::kA   ? qa
-           : analysis::shape_of(t) == analysis::Shape::kB ? qb
-                                                          : qc;
-  };
-  STRASSEN_REQUIRE(sched.temp_count <= analysis::kMaxTemps,
-                   "schedule declares more temporaries than slots exist");
-  std::size_t buf_elems[analysis::kMaxTemps] = {};
-  T* bufs[analysis::kMaxTemps] = {};
-  const int nbuf = analysis::temp_buffer_count(sched);
-  for (int i = 0; i < sched.temp_count; ++i) {
-    const int b = analysis::temp_buffer_id(sched, i);
-    const std::size_t n = elems(sched.temps[i]);
-    if (n > buf_elems[b]) buf_elems[b] = n;
+void morton_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
+                    int tn, int depth, Arena& arena,
+                    analysis::ScheduleFamily family, bool owns_inputs) {
+  if (depth == 0) {
+    blas::gemm_leaf(mm, tm, tn, tk, A, tm, B, tk, C, tm,
+                    blas::LeafMode::Overwrite);
+    return;
   }
-  for (int b = 0; b < nbuf; ++b) bufs[b] = arena.push<T>(buf_elems[b]);
-  for (int i = 0; i < sched.temp_count; ++i) {
-    const Operand t = sched.temps[i];
-    interp.bind_output(t, bufs[analysis::temp_buffer_id(sched, i)], elems(t));
-  }
+  MortonSlots<MM, T> slots(mm, C, A, B, tm, tk, tn, depth - 1, owns_inputs);
+  SerialProducts products{[&](const typename MortonSlots<MM, T>::Product& p) {
+    morton_recurse(mm, p.c, p.a, p.b, tm, tk, tn, depth - 1, arena, family,
+                   false);
+  }};
+  run_level<T>(analysis::level_schedule(family, owns_inputs), slots, products,
+               arena);
 }
 
 }  // namespace detail
@@ -166,49 +212,12 @@ void push_and_bind_temps(ScheduleInterpreter<MM, T>& interp,
 // kInPlace here runs its DEEPER levels (the in-place top level is
 // winograd_recurse_inplace, which needs writable operands).
 template <class MM, class T>
-void winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
-                      int tn, int depth, Arena& arena,
-                      analysis::ScheduleFamily family) {
-  if (depth == 0) {
-    blas::gemm_leaf(mm, tm, tn, tk, A, tm, B, tk, C, tm,
-                    blas::LeafMode::Overwrite);
-    return;
-  }
-  const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  // Table selection: the default family runs the paper's schedule at every
-  // level; the low-mem family (and the sub-levels of the in-place family)
-  // run the 2-buffer table.
-  const bool low_mem = family == analysis::ScheduleFamily::kLowMem ||
-                       family == analysis::ScheduleFamily::kInPlace;
-  const analysis::Schedule& sched =
-      low_mem ? analysis::kWinogradLowMem : analysis::kWinograd;
-
-  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, family);
-
-  // Quadrants in memory order NW, NE, SW, SE == 11, 12, 21, 22.
-  using analysis::Operand;
-  interp.bind_input(Operand::kA11, A, qa);
-  interp.bind_input(Operand::kA12, A + qa, qa);
-  interp.bind_input(Operand::kA21, A + 2 * qa, qa);
-  interp.bind_input(Operand::kA22, A + 3 * qa, qa);
-  interp.bind_input(Operand::kB11, B, qb);
-  interp.bind_input(Operand::kB12, B + qb, qb);
-  interp.bind_input(Operand::kB21, B + 2 * qb, qb);
-  interp.bind_input(Operand::kB22, B + 3 * qb, qb);
-  interp.bind_output(Operand::kC11, C, qc);
-  interp.bind_output(Operand::kC12, C + qc, qc);
-  interp.bind_output(Operand::kC21, C + 2 * qc, qc);
-  interp.bind_output(Operand::kC22, C + 3 * qc, qc);
-
-  Arena::Frame frame(arena);
-  detail::push_and_bind_temps(interp, sched, arena, qa, qb, qc);
-
-  interp.run(sched, arena);
+void winograd_recurse(
+    MM& mm, T* C, const T* A, const T* B, int tm, int tk, int tn, int depth,
+    Arena& arena,
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd) {
+  detail::morton_recurse(mm, C, A, B, tm, tk, tn, depth, arena, family,
+                         false);
 }
 
 // C = A * B with the TOP level running the in-place table: the Winograd
@@ -220,82 +229,8 @@ void winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
 template <class MM, class T>
 void winograd_recurse_inplace(MM& mm, T* C, T* A, T* B, int tm, int tk,
                               int tn, int depth, Arena& arena) {
-  if (depth == 0) {
-    blas::gemm_leaf(mm, tm, tn, tk, A, tm, B, tk, C, tm,
-                    blas::LeafMode::Overwrite);
-    return;
-  }
-  const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  const analysis::Schedule& sched = analysis::kWinogradInPlace;
-  detail::ScheduleInterpreter<MM, T> interp(
-      mm, tm, tk, tn, d1, analysis::ScheduleFamily::kInPlace);
-
-  using analysis::Operand;
-  interp.bind_inout(Operand::kA11, A, qa);
-  interp.bind_inout(Operand::kA12, A + qa, qa);
-  interp.bind_inout(Operand::kA21, A + 2 * qa, qa);
-  interp.bind_inout(Operand::kA22, A + 3 * qa, qa);
-  interp.bind_inout(Operand::kB11, B, qb);
-  interp.bind_inout(Operand::kB12, B + qb, qb);
-  interp.bind_inout(Operand::kB21, B + 2 * qb, qb);
-  interp.bind_inout(Operand::kB22, B + 3 * qb, qb);
-  interp.bind_output(Operand::kC11, C, qc);
-  interp.bind_output(Operand::kC12, C + qc, qc);
-  interp.bind_output(Operand::kC21, C + 2 * qc, qc);
-  interp.bind_output(Operand::kC22, C + 3 * qc, qc);
-
-  Arena::Frame frame(arena);
-  detail::push_and_bind_temps(interp, sched, arena, qa, qb, qc);
-
-  interp.run(sched, arena);
-}
-
-// C += A * B: the top level runs the accumulating table (C's quadrants are
-// inputs whose values survive into the result -- the split path's k-chunk
-// chains use this to skip the per-chunk C buffer and beta pass), and the
-// seven sub-products recurse with `family` tables.  depth == 0 accumulates
-// directly at the leaf.
-template <class MM, class T>
-void winograd_recurse_acc(MM& mm, T* C, const T* A, const T* B, int tm,
-                          int tk, int tn, int depth, Arena& arena,
-                          analysis::ScheduleFamily family) {
-  if (depth == 0) {
-    blas::gemm_leaf(mm, tm, tn, tk, A, tm, B, tk, C, tm,
-                    blas::LeafMode::Accumulate);
-    return;
-  }
-  const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  const analysis::Schedule& sched = analysis::kWinogradAccum;
-  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, family);
-
-  using analysis::Operand;
-  interp.bind_input(Operand::kA11, A, qa);
-  interp.bind_input(Operand::kA12, A + qa, qa);
-  interp.bind_input(Operand::kA21, A + 2 * qa, qa);
-  interp.bind_input(Operand::kA22, A + 3 * qa, qa);
-  interp.bind_input(Operand::kB11, B, qb);
-  interp.bind_input(Operand::kB12, B + qb, qb);
-  interp.bind_input(Operand::kB21, B + 2 * qb, qb);
-  interp.bind_input(Operand::kB22, B + 3 * qb, qb);
-  interp.bind_output(Operand::kC11, C, qc);
-  interp.bind_output(Operand::kC12, C + qc, qc);
-  interp.bind_output(Operand::kC21, C + 2 * qc, qc);
-  interp.bind_output(Operand::kC22, C + 3 * qc, qc);
-
-  Arena::Frame frame(arena);
-  detail::push_and_bind_temps(interp, sched, arena, qa, qb, qc);
-
-  interp.run(sched, arena);
+  detail::morton_recurse(mm, C, A, B, tm, tk, tn, depth, arena,
+                         analysis::ScheduleFamily::kInPlace, true);
 }
 
 }  // namespace strassen::core

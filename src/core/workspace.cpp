@@ -1,14 +1,8 @@
 #include "core/workspace.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace strassen::core {
-
-namespace {
-std::size_t round_up64(std::size_t n) { return (n + 63) / 64 * 64; }
-}  // namespace
 
 std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
                                      std::size_t elem_size) {
@@ -23,62 +17,33 @@ std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
                    "bad workspace request: tm=" << tm << " tk=" << tk
                                                 << " tn=" << tn
                                                 << " depth=" << depth);
-  using analysis::ScheduleFamily;
   std::size_t total = 0;
-  // Level l (from the top, l = 1..depth) allocates temporaries over the
-  // quadrants of a block whose leaves are 2^(depth-l) tiles on a side.
-  auto quad = [&](int r, int c, std::size_t scale) {
-    return round_up64(checked_mul(
-        checked_mul(checked_mul(static_cast<std::size_t>(r),
-                                static_cast<std::size_t>(c)),
-                    scale),
-        elem_size));
-  };
-  for (int l = 1; l <= depth; ++l) {
-    const std::size_t scale = std::size_t{1} << (2 * (depth - l));
-    const std::size_t qa = quad(tm, tk, scale);
-    const std::size_t qb = quad(tk, tn, scale);
-    const std::size_t qc = quad(tm, tn, scale);
-    switch (family) {
-      case ScheduleFamily::kAuto:
-      case ScheduleFamily::kWinograd:
-        total = checked_add(total, checked_add(qa, checked_add(qb, qc)));
-        break;
-      case ScheduleFamily::kLowMem:
-        // tS and tP share one buffer sized for the larger shape.
-        total = checked_add(total, checked_add(std::max(qa, qc), qb));
-        break;
-      case ScheduleFamily::kInPlace:
-        // Only the TOP level runs the in-place table (a child would clobber
-        // parent operands); deeper levels run the low-mem table.
-        if (l == 1)
-          total = checked_add(total, qc);
-        else
-          total = checked_add(total, checked_add(std::max(qa, qc), qb));
-        break;
-    }
-  }
+  // Level l (from the top, l = 1..depth) has children of depth - l; only
+  // the top level owns its operands (the in-place table's precondition).
+  for (int l = 1; l <= depth; ++l)
+    total = checked_add(
+        total, level_temp_bytes(analysis::level_schedule(family, l == 1), tm,
+                                tk, tn, depth - l, elem_size));
   return total;
 }
 
-std::size_t winograd_accum_workspace_bytes(int tm, int tk, int tn, int depth,
-                                           std::size_t elem_size,
-                                           analysis::ScheduleFamily family) {
-  if (depth <= 0) return 0;
+std::size_t level_temp_bytes(const analysis::Schedule& sched, int tm, int tk,
+                             int tn, int d1, std::size_t elem_size) {
+  const std::size_t scale = std::size_t{1} << (2 * d1);
   auto quad = [&](int r, int c) {
-    const std::size_t scale = std::size_t{1} << (2 * (depth - 1));
-    return round_up64(checked_mul(
+    const std::size_t bytes = checked_mul(
         checked_mul(checked_mul(static_cast<std::size_t>(r),
                                 static_cast<std::size_t>(c)),
                     scale),
-        elem_size));
+        elem_size);
+    return checked_add(bytes, 63) / 64 * 64;
   };
-  // Top level: the 3-temporary accumulating table; its sub-products recurse
-  // with `family` tables one level down.
-  const std::size_t top = checked_add(
-      quad(tm, tk), checked_add(quad(tk, tn), quad(tm, tn)));
-  return checked_add(
-      top, winograd_workspace_bytes(tm, tk, tn, depth - 1, elem_size, family));
+  const std::size_t per_shape[3] = {quad(tm, tk), quad(tk, tn), quad(tm, tn)};
+  std::size_t bufs[analysis::kMaxTemps];
+  const int nbuf = analysis::temp_buffer_sizes(sched, per_shape, bufs);
+  std::size_t total = 0;
+  for (int b = 0; b < nbuf; ++b) total = checked_add(total, bufs[b]);
+  return total;
 }
 
 }  // namespace strassen::core

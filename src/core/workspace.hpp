@@ -12,7 +12,10 @@
 //   kInPlace    top level 1 buffer (qc, operand sums overwrite the Morton
 //               A/B copies); deeper levels run the low-mem table
 //
-// where qa/qb/qc are the A-/B-/C-shaped quadrant sizes of that level.
+// where qa/qb/qc are the A-/B-/C-shaped quadrant sizes of that level.  The
+// figures are not coded per family: each level's size is read off the table
+// it runs (analysis::level_schedule) through analysis::temp_buffer_sizes,
+// the same function the interpreter's pushes use.
 #pragma once
 
 #include <cstddef>
@@ -32,11 +35,13 @@ std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
                                      std::size_t elem_size,
                                      analysis::ScheduleFamily family);
 
-// Peak bytes for the accumulating top level (core::winograd_recurse_acc):
-// the top level runs the 3-temporary kWinogradAccum table and its seven
-// sub-products recurse with `family` tables.
-std::size_t winograd_accum_workspace_bytes(int tm, int tk, int tn, int depth,
-                                           std::size_t elem_size,
-                                           analysis::ScheduleFamily family);
+// Bytes one level running `sched` pushes for its temporaries, when its
+// children have depth d1 over leaf tiles (tm x tk) * (tk x tn): one
+// 64-byte-rounded buffer per distinct buffer id, sized for the largest shape
+// mapped onto it -- exactly what core::detail::run_level pushes.  The serial
+// sizing above sums this over the levels; the parallel driver prices its
+// spawn levels (analysis::kWinogradSpawn) with it.
+std::size_t level_temp_bytes(const analysis::Schedule& sched, int tm, int tk,
+                             int tn, int d1, std::size_t elem_size);
 
 }  // namespace strassen::core

@@ -2,6 +2,6 @@
 
 namespace strassen::obs::detail {
 
-thread_local Collector* tl_collector = nullptr;
+constinit thread_local Collector* tl_collector = nullptr;
 
 }  // namespace strassen::obs::detail

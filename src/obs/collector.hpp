@@ -89,8 +89,10 @@ struct Collector {
 
 namespace detail {
 // The active collector of the current thread (null = observability off).
-// extern so the hot-path check inlines to one TLS load.
-extern thread_local Collector* tl_collector;
+// extern so the hot-path check inlines to one TLS load; constinit so no
+// translation unit goes through a TLS-init wrapper for it (GCC's UBSan
+// reported every access through that wrapper as a null-pointer load).
+extern constinit thread_local Collector* tl_collector;
 }  // namespace detail
 
 // Collector observing the current thread, or null when no reported call is

@@ -24,14 +24,16 @@ namespace strassen::parallel {
 
 namespace {
 
-std::size_t round_up64(std::size_t n) { return (n + 63) / 64 * 64; }
+// The fork level's table: its forked run of seven products is what lets
+// the ForkProducts policy below start them all before joining.
+static_assert(analysis::kWinogradSpawn.forks_products);
 
-// One spawn level's temporaries: S1..S4 over A-quadrants, T1..T4 over
-// B-quadrants, P1..P7 over C-quadrants.
-std::size_t spawn_level_bytes(std::size_t qa, std::size_t qb, std::size_t qc,
+// One spawn level's temporaries (S1..S4, T1..T4, M1..M7), sized from the
+// table through the serial recursion's sizing code.
+std::size_t spawn_level_bytes(int tm, int tk, int tn, int depth,
                               std::size_t elem) {
-  return 4 * round_up64(qa * elem) + 4 * round_up64(qb * elem) +
-         7 * round_up64(qc * elem);
+  return core::level_temp_bytes(analysis::kWinogradSpawn, tm, tk, tn,
+                                depth - 1, elem);
 }
 
 // Where the recursion stops forking.  Legacy mode (explicit spawn_levels
@@ -69,10 +71,13 @@ int effective_spawn_levels(const SpawnPolicy& policy, int explicit_levels,
   return levels;
 }
 
-// The parallel recursion.  Below the spawn cutoff this is exactly
-// core::winograd_recurse, so results are bit-identical to the serial code
-// (when `family` is the default; the low-memory families trade that identity
-// for a smaller per-task arena within the numeric bounds).
+// The parallel recursion.  A forking level runs the spawn table
+// (analysis::kWinogradSpawn) through the serial recursion's interpreter with
+// the fork product policy; below the spawn cutoff this is exactly
+// core::winograd_recurse.  The spawn table's sums are the serial table's up
+// to commutativity, so results are bit-identical to the serial code (when
+// `family` is the default; the low-memory families trade that identity for
+// a smaller per-task arena within the numeric bounds).
 void recurse(ThreadPool* pool, const SpawnPolicy& policy, int spawn, double* C,
              const double* A, const double* B, int tm, int tk, int tn,
              int depth, analysis::ScheduleFamily family) {
@@ -84,97 +89,43 @@ void recurse(ThreadPool* pool, const SpawnPolicy& policy, int spawn, double* C,
                            family);
     return;
   }
-  const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  const double* A11 = A;
-  const double* A12 = A + qa;
-  const double* A21 = A + 2 * qa;
-  const double* A22 = A + 3 * qa;
-  const double* B11 = B;
-  const double* B12 = B + qb;
-  const double* B21 = B + 2 * qb;
-  const double* B22 = B + 3 * qb;
-  double* C11 = C;
-  double* C12 = C + qc;
-  double* C21 = C + 2 * qc;
-  double* C22 = C + 3 * qc;
-
-  // The level's 15 temporaries come from the per-thread arena cache.  Each
-  // ScratchArena is an independent buffer, so a task that help-runs other
-  // tasks while blocked in wait() below never interleaves frames with them.
-  ScratchArena scratch(spawn_level_bytes(qa, qb, qc, sizeof(double)));
-  Arena& level = scratch.arena();
-  double* S1 = level.push<double>(qa);
-  double* S2 = level.push<double>(qa);
-  double* S3 = level.push<double>(qa);
-  double* S4 = level.push<double>(qa);
-  double* T1 = level.push<double>(qb);
-  double* T2 = level.push<double>(qb);
-  double* T3 = level.push<double>(qb);
-  double* T4 = level.push<double>(qb);  // holds T2 - B21 (= -T4 of the paper)
-  double* M1 = level.push<double>(qc);
-  double* M2 = level.push<double>(qc);
-  double* M3 = level.push<double>(qc);
-  double* M4 = level.push<double>(qc);
-  double* M5 = level.push<double>(qc);
-  double* M6 = level.push<double>(qc);
-  double* M7 = level.push<double>(qc);
-  // Same alignment contract as the serial driver: spawn-level temporaries
-  // feed the SIMD element-wise kernels and the leaf gemm below, which assume
-  // cache-line-aligned quadrant storage.
-  STRASSEN_ASSERT(reinterpret_cast<std::uintptr_t>(S1) %
-                      Arena::kChunkAlignment == 0);
-  STRASSEN_ASSERT(reinterpret_cast<std::uintptr_t>(T1) %
-                      Arena::kChunkAlignment == 0);
-  STRASSEN_ASSERT(reinterpret_cast<std::uintptr_t>(M1) %
-                      Arena::kChunkAlignment == 0);
-
-  RawMem mm;
-  // Operand sums (same expressions as the serial schedule).
-  blas::vadd(mm, qa, S1, A21, A22);
-  blas::vsub(mm, qa, S2, S1, A11);
-  blas::vsub(mm, qa, S3, A11, A21);
-  blas::vsub(mm, qa, S4, A12, S2);
-  blas::vsub(mm, qb, T1, B12, B11);
-  blas::vsub(mm, qb, T2, B22, T1);
-  blas::vsub(mm, qb, T3, B22, B12);
-  blas::vsub(mm, qb, T4, T2, B21);
-
-  // The seven independent products, forked.  When this runs on a pool
-  // worker, the children land on ITS deque bottom (depth-first, cache-hot)
-  // and idle workers steal whole subtrees from the top; the U-chain below is
-  // the continuation this task runs once the join counter drains.
-  {
-    TaskGroup group(pool);
-    const int child_spawn = policy.auto_mode ? 0 : spawn - 1;
-    auto fork = [&](double* dst, const double* a, const double* b) {
-      group.run([=, &policy] {
-        recurse(pool, policy, child_spawn, dst, a, b, tm, tk, tn, d1, family);
+  using Slots = core::detail::MortonSlots<RawMem, double>;
+  // The spawn product policy: each product of the table's forked run is one
+  // task, recursing with this function; join() is the TaskGroup's.  When
+  // this runs on a pool worker, the children land on ITS deque bottom
+  // (depth-first, cache-hot) and idle workers steal whole subtrees from the
+  // top; the U-chain is the continuation this task runs once the join
+  // counter drains.
+  struct ForkProducts {
+    TaskGroup& group;
+    ThreadPool* pool;
+    const SpawnPolicy& policy;
+    int child_spawn, tm, tk, tn, d1;
+    analysis::ScheduleFamily family;
+    void run(const Slots::Product& p) {
+      // The task holds a copy of this policy: an enqueue failure unwinds
+      // run_level while started tasks still run, until ~TaskGroup joins.
+      group.run([self = *this, p] {
+        recurse(self.pool, self.policy, self.child_spawn, p.c, p.a, p.b,
+                self.tm, self.tk, self.tn, self.d1, self.family);
       });
-    };
-    fork(M1, A11, B11);
-    fork(M2, A12, B21);
-    fork(M3, S4, B22);
-    fork(M4, A22, T4);  // A22 . (T2 - B21)
-    fork(M5, S1, T1);
-    fork(M6, S2, T2);
-    fork(M7, S3, T3);
-    group.wait();
-  }
+    }
+    void join() { group.wait(); }
+  };
 
-  // U-chain combination (commutatively identical to the serial in-place
-  // order, so results match bit for bit).
-  blas::vadd(mm, qc, C11, M1, M2);           // C11 = M1 + M2
-  blas::vadd_inplace(mm, qc, M1, M6);        // M1 := U2 = M1 + M6
-  blas::vadd_inplace(mm, qc, M7, M1);        // M7 := U3 = U2 + M7
-  blas::vsub(mm, qc, C21, M7, M4);           // C21 = U3 - M4
-  blas::vadd(mm, qc, C22, M7, M5);           // C22 = U3 + M5
-  blas::vadd_inplace(mm, qc, M1, M5);        // M1 := U4 = U2 + M5
-  blas::vadd(mm, qc, C12, M1, M3);           // C12 = U4 + M3
+  // The level's temporaries come from the per-thread arena cache.  Each
+  // ScratchArena is an independent buffer, so a task that help-runs other
+  // tasks while blocked in wait() never interleaves frames with them.  It
+  // is declared before the group so every task has joined before it goes.
+  ScratchArena scratch(spawn_level_bytes(tm, tk, tn, depth, sizeof(double)));
+  TaskGroup group(pool);
+  ForkProducts products{group, pool, policy,
+                        policy.auto_mode ? 0 : spawn - 1, tm, tk, tn,
+                        depth - 1, family};
+  RawMem mm;
+  Slots slots(mm, C, A, B, tm, tk, tn, depth - 1);
+  core::detail::run_level<double>(analysis::kWinogradSpawn, slots, products,
+                                  scratch.arena());
 }
 
 // Accumulates one split sub-task's local report into the call report after
@@ -303,13 +254,9 @@ std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
   if (spawn_levels == 0 || depth == 0)
     return core::winograd_workspace_bytes(tm, tk, tn, depth, elem_size,
                                           family);
-  const std::size_t scale = std::size_t{1} << (2 * (depth - 1));
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
   // All 7 child arenas can be live at once.  A spawn level's own 15
   // temporaries are family-independent.
-  return spawn_level_bytes(qa, qb, qc, elem_size) +
+  return spawn_level_bytes(tm, tk, tn, depth, elem_size) +
          7 * pmodgemm_workspace_bytes(tm, tk, tn, depth - 1, spawn_levels - 1,
                                       elem_size, family);
 }

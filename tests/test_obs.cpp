@@ -28,6 +28,7 @@
 #include "blas/kernels/registry.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "core/batched.hpp"
 #include "core/modgemm.hpp"
 #include "obs/collector.hpp"
 #include "obs/report.hpp"
@@ -464,6 +465,136 @@ TEST(ObsParallel, InlinePoolStillCountsTasks) {
   EXPECT_GE(report.tasks_executed, 7u);
   ASSERT_FALSE(report.per_thread_tasks.empty());
   EXPECT_EQ(report.per_thread_tasks[0], report.tasks_executed);
+}
+
+// ---------------------------------------------------------------------------
+// Self-consistency: every driver's phase timers nest inside the call's wall
+// time, and leaf time inside compute.  All of them read steady_clock, so a
+// nested interval can exceed its parent only by double rounding.  Where work
+// runs on several threads at once, the parent interval is the wall (or
+// compute) time of every pool slot: (threads + 1) x the caller's interval.
+// ---------------------------------------------------------------------------
+
+void expect_within(double inner, double outer, const char* what) {
+  EXPECT_LE(inner, outer * (1.0 + 1e-9) + 1e-12)
+      << what << ": " << inner << " > " << outer;
+}
+
+void expect_serial_consistent(const ModgemmReport& r) {
+  EXPECT_GT(r.compute_seconds, 0.0);
+  EXPECT_GT(r.leaf_seconds, 0.0);
+  expect_within(r.total_seconds(), r.wall_seconds, "phase sum vs wall");
+  expect_within(r.leaf_seconds, r.compute_seconds, "leaf vs compute");
+}
+
+TEST(ObsConsistency, SerialMortonPhasesNestInWall) {
+  for (int n : {130, 200, 513}) {
+    Problem p(n);
+    ModgemmOptions opt;
+    opt.tiles.direct_threshold = 32;
+    opt.strategy = layout::ExecStrategy::kMorton;
+    ModgemmReport report;
+    p.run(opt, &report);
+    ASSERT_STREQ(report.strategy, "morton");
+    expect_serial_consistent(report);
+  }
+}
+
+TEST(ObsConsistency, PackFusedPhasesNestInWall) {
+  for (int n : {130, 200, 513}) {
+    Problem p(n);
+    ModgemmOptions opt;
+    opt.tiles.direct_threshold = 32;
+    opt.strategy = layout::ExecStrategy::kPackFused;
+    ModgemmReport report;
+    p.run(opt, &report);
+    ASSERT_STREQ(report.strategy, "packfused");
+    expect_serial_consistent(report);
+  }
+}
+
+TEST(ObsConsistency, SplitCallPhasesNestInWall) {
+  // A split call sums its sub-products' phases; they run one after another.
+  const int m = 97, n = 120, k = 800;
+  Rng rng(3);
+  Matrix<double> A(m, k), B(k, n), C(m, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  for (layout::ExecStrategy st :
+       {layout::ExecStrategy::kMorton, layout::ExecStrategy::kPackFused}) {
+    ModgemmOptions opt;
+    opt.strategy = st;
+    ModgemmReport report;
+    core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), A.ld(),
+                  B.data(), B.ld(), 0.0, C.data(), C.ld(), opt, &report);
+    ASSERT_TRUE(report.split_used);
+    EXPECT_GT(report.products, 1);
+    expect_serial_consistent(report);
+  }
+}
+
+TEST(ObsConsistency, PmodgemmPhasesNestInWall) {
+  // The three phases run one after another on the caller; the leaves run on
+  // every pool slot during compute.
+  const int n = 512;
+  Problem p(n);
+  parallel::ThreadPool pool(3);
+  for (int spawn : {parallel::kSpawnAuto, 2}) {
+    parallel::ParallelOptions popt;
+    popt.spawn_levels = spawn;
+    ModgemmReport report;
+    popt.report = &report;
+    parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
+                       p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
+                       p.C.data(), p.C.ld(), popt);
+    ASSERT_TRUE(report.parallel);
+    ASSERT_FALSE(report.split_used);
+    EXPECT_GT(report.leaf_seconds, 0.0);
+    expect_within(report.total_seconds(), report.wall_seconds,
+                  "phase sum vs wall");
+    expect_within(report.leaf_seconds,
+                  report.compute_seconds * (pool.thread_count() + 1),
+                  "leaf vs compute x slots");
+  }
+}
+
+TEST(ObsConsistency, BatchedPhasesNestInWall) {
+  // Items run concurrently, each as one serial product on one slot (none is
+  // big enough to fork further): their phases sum to at most every slot's
+  // wall, and each item's leaves run inside its own compute phase.
+  parallel::ThreadPool pool(3);
+  std::vector<Problem> probs;
+  for (int i = 0; i < 12; ++i) probs.emplace_back(120 + 8 * i, 50 + i);
+  std::vector<core::BatchItem> items;
+  for (Problem& p : probs) {
+    core::BatchItem it;
+    it.m = it.n = it.k = p.n;
+    it.A = p.A.data();
+    it.lda = p.A.ld();
+    it.B = p.B.data();
+    it.ldb = p.B.ld();
+    it.C = p.C.data();
+    it.ldc = p.C.ld();
+    items.push_back(it);
+  }
+  for (layout::ExecStrategy st :
+       {layout::ExecStrategy::kMorton, layout::ExecStrategy::kPackFused}) {
+    core::BatchedOptions bopt;
+    bopt.strategy = st;
+    bopt.tiles.direct_threshold = 32;
+    bopt.min_task_flops = std::int64_t{1} << 40;  // no item forks further
+    ModgemmReport report;
+    bopt.report = &report;
+    core::modgemm_batched(&pool, items.data(), static_cast<int>(items.size()),
+                          bopt);
+    ASSERT_EQ(report.batch_count, 12);
+    EXPECT_GT(report.leaf_seconds, 0.0);
+    expect_within(report.total_seconds(),
+                  report.wall_seconds * (pool.thread_count() + 1),
+                  "phase sum vs wall x slots");
+    expect_within(report.leaf_seconds, report.compute_seconds,
+                  "leaf vs compute");
+  }
 }
 
 }  // namespace

@@ -47,7 +47,6 @@ namespace {
 
 namespace ft = ::strassen::testing;
 using analysis::ScheduleFamily;
-using analysis::Sign;
 using blas::PackSrc;
 using core::FallbackReason;
 using core::ModgemmOptions;
@@ -60,9 +59,8 @@ using layout::ExecStrategy;
 
 // Element-wise reference for a packed panel, written independently of the
 // packing code paths: read straight from the column-major storage with
-// explicit clipping, transposition, combination and scaling.
+// explicit clipping, transposition and scaling.
 std::vector<double> panel_oracle(int pr, int pc, const PackSrc<double>& a,
-                                 Sign s, const PackSrc<double>* b,
                                  double alpha) {
   std::vector<double> out(static_cast<std::size_t>(pr) * pc);
   for (int j = 0; j < pc; ++j) {
@@ -71,13 +69,6 @@ std::vector<double> panel_oracle(int pr, int pc, const PackSrc<double>& a,
       if (i < a.rows && j < a.cols)
         v = a.trans ? a.ptr[static_cast<std::size_t>(i) * a.ld + j]
                     : a.ptr[static_cast<std::size_t>(j) * a.ld + i];
-      if (b != nullptr) {
-        double w = 0.0;
-        if (i < b->rows && j < b->cols)
-          w = b->trans ? b->ptr[static_cast<std::size_t>(i) * b->ld + j]
-                       : b->ptr[static_cast<std::size_t>(j) * b->ld + i];
-        v = s == Sign::kPlus ? v + w : v - w;
-      }
       out[static_cast<std::size_t>(j) * pr + i] = alpha * v;
     }
   }
@@ -86,27 +77,15 @@ std::vector<double> panel_oracle(int pr, int pc, const PackSrc<double>& a,
 
 // Packs into a NaN-poisoned panel and checks every element against the
 // oracle.  Bitwise equality: packing must not introduce any arithmetic
-// beyond the single add/sub and optional scale the oracle performs.
+// beyond the optional scale the oracle performs.
 void expect_pack(int pr, int pc, const PackSrc<double>& a, double alpha) {
   std::vector<double> dst(static_cast<std::size_t>(pr) * pc,
                           std::numeric_limits<double>::quiet_NaN());
   blas::pack_panel(dst.data(), pr, pc, a, alpha);
-  const std::vector<double> ref =
-      panel_oracle(pr, pc, a, Sign::kPlus, nullptr, alpha);
+  const std::vector<double> ref = panel_oracle(pr, pc, a, alpha);
   ASSERT_EQ(std::memcmp(dst.data(), ref.data(), dst.size() * sizeof(double)),
             0)
       << pr << "x" << pc << " trans=" << a.trans << " alpha=" << alpha;
-}
-
-void expect_pack_sum(int pr, int pc, const PackSrc<double>& a, Sign s,
-                     const PackSrc<double>& b, double alpha) {
-  std::vector<double> dst(static_cast<std::size_t>(pr) * pc,
-                          std::numeric_limits<double>::quiet_NaN());
-  blas::pack_panel_sum(dst.data(), pr, pc, a, s, b, alpha);
-  const std::vector<double> ref = panel_oracle(pr, pc, a, s, &b, alpha);
-  ASSERT_EQ(std::memcmp(dst.data(), ref.data(), dst.size() * sizeof(double)),
-            0)
-      << pr << "x" << pc << " sign=" << (s == Sign::kPlus ? '+' : '-');
 }
 
 // A filled column-major backing store with a deliberately padded stride.
@@ -151,17 +130,6 @@ TEST(PackPanel, AlphaScalingOnBothPaths) {
   expect_pack(16, 16, b.view(14, 14), 2.5);                  // generic path
   expect_pack(16, 16, b.view(14, 14, /*trans=*/true), 2.5);  // gather path
   expect_pack(16, 16, b.view(14, 14), -1.0);
-}
-
-TEST(PackPanelSum, CombinationsAcrossExtentsAndSigns) {
-  Backing x(16, 16, 16, 6), y(9, 12, 31, 7);
-  for (Sign s : {Sign::kPlus, Sign::kMinus}) {
-    expect_pack_sum(16, 16, x.view(16, 16), s, y.view(9, 12), 1.0);
-    expect_pack_sum(16, 16, y.view(9, 12), s, x.view(16, 16), 1.0);
-    expect_pack_sum(16, 16, x.view(16, 16), s, y.view(9, 12), 2.0);
-    expect_pack_sum(16, 16, x.view(12, 16, /*trans=*/true), s, y.view(9, 12),
-                    1.0);
-  }
 }
 
 TEST(PackSrcView, CoversMatchesInPlaceContract) {

@@ -10,6 +10,7 @@
 // both the default kernel table and the scalar pin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -239,18 +240,35 @@ TEST(ScheduleVerifyFamily, ShippedInPlaceTableVerifies) {
   EXPECT_EQ(r.linear_ops, 15);
 }
 
-TEST(ScheduleVerifyFamily, ShippedAccumTableVerifies) {
-  const VerifyResult r = verify_schedule(kWinogradAccum);
+TEST(ScheduleVerifyFamily, ShippedSpawnTableVerifies) {
+  const VerifyResult r = verify_schedule(kWinogradSpawn);
   EXPECT_TRUE(r.ok) << joined(r.errors);
-  EXPECT_EQ(r.temp_peak, 3);
+  EXPECT_EQ(r.temp_peak, 15);
   EXPECT_EQ(r.products, 7);
-  EXPECT_EQ(r.linear_ops, 22);
+  EXPECT_EQ(r.linear_ops, 15);
+  EXPECT_EQ(temp_buffer_count(kWinogradSpawn), 15);
 }
 
 TEST(ScheduleVerifyFamily, ConstexprCoreProvesFamilyTables) {
   static_assert(verify_core(kWinogradLowMem).violation == Violation::kNone);
   static_assert(verify_core(kWinogradInPlace).violation == Violation::kNone);
-  static_assert(verify_core(kWinogradAccum).violation == Violation::kNone);
+  static_assert(verify_core(kWinogradSpawn).violation == Violation::kNone);
+}
+
+TEST(ScheduleVerifyFamily, SpawnTableForksOneRunOfSevenProducts) {
+  // Forked-run liveness: all eight operand sums stay live while the seven
+  // products write their own temporaries, so the peak is the full 15; the
+  // same table run sequentially would need fewer at once.
+  static_assert(kWinogradSpawn.forks_products);
+  int run = 0, longest = 0;
+  for (int i = 0; i < kWinogradSpawn.step_count; ++i) {
+    run = is_product(kWinogradSpawn.steps[i].kind) ? run + 1 : 0;
+    longest = std::max(longest, run);
+  }
+  EXPECT_EQ(longest, 7);
+  TestSchedule sequential(kWinogradSpawn);
+  sequential.sched.forks_products = false;
+  EXPECT_LT(verify_core(sequential.sched).temp_peak, 15);
 }
 
 TEST(ScheduleVerifyNegative, InPlaceReadAfterClobberRejected) {
@@ -321,34 +339,46 @@ TEST(ScheduleVerifyNegative, BadTempBufferIdRejected) {
   EXPECT_EQ(verify_core(t.sched).violation, Violation::kBadTempBuffer);
 }
 
-TEST(ScheduleVerifyNegative, AccumTempPeakUndercountRejected) {
-  // The accumulating table really needs 3 temporaries; declaring the
-  // low-mem bound instead must be rejected with the measured peak.
-  TestSchedule t(kWinogradAccum);
-  t.sched.declared_temp_peak = 2;
-  const VerifyResult r = verify_schedule(t.sched);
-  EXPECT_FALSE(r.ok);
-  EXPECT_TRUE(any_error_contains(r.errors, "live-temporary peak is 3"))
-      << joined(r.errors);
-  EXPECT_EQ(verify_core(t.sched).violation, Violation::kTempPeakMismatch);
-}
-
-TEST(ScheduleVerifyNegative, AccumInitialValueClobberRejected) {
-  // Turn C11 += P1 (step 23) into a direct product C11 = P1: the final
-  // bilinear form still reaches its target (P2 is added afterwards) but the
-  // caller's initial C11 no longer survives into the result -- exactly the
-  // defect the accumulating contract exists to exclude, invisible to every
-  // overwrite-table check.
-  TestSchedule t(kWinogradAccum);
-  ASSERT_STREQ(t.steps[23].note, "C11+=P1");
-  t.steps[23] = mul(C11, A11, B11, "P1");
+TEST(ScheduleVerifyNegative, ForkedProductsSharingADestinationRejected) {
+  // M2 (step 9) now lands in M1, which M1's own product (step 8) is still
+  // writing in the same forked run: two concurrent writers of one slot.
+  TestSchedule t(kWinogradSpawn);
+  ASSERT_STREQ(t.steps[8].note, "P1");
+  ASSERT_STREQ(t.steps[9].note, "P2");
+  t.steps[9].dst = t.steps[8].dst;
   t.refresh();
   const VerifyResult r = verify_schedule(t.sched);
   EXPECT_FALSE(r.ok);
-  EXPECT_TRUE(any_error_contains(r.errors, "C11")) << joined(r.errors);
+  EXPECT_TRUE(any_error_contains(r.errors, "same forked run"))
+      << joined(r.errors);
   const CoreResult c = verify_core(t.sched);
-  EXPECT_EQ(c.violation, Violation::kAccumClobber);
-  EXPECT_EQ(c.operand, C11);
+  EXPECT_EQ(c.violation, Violation::kForkConflict);
+  EXPECT_EQ(c.step, 9);
+  EXPECT_EQ(c.operand, t.steps[8].dst);
+}
+
+TEST(ScheduleVerifyNegative, ForkedProductReadingAnotherDestinationRejected) {
+  // Map S3 (read by M7) and M1 (written by M1's product) onto one arena
+  // buffer.  Sequentially the two never overlap in a way the table reads,
+  // but in the forked run M7 would read storage M1 is writing.
+  TestSchedule t(kWinogradSpawn);
+  int s3 = -1, m1 = -1;
+  for (int i = 0; i < t.sched.temp_count; ++i) {
+    if (t.temps[i] == Op::kTS2) s3 = i;
+    if (t.temps[i] == Op::kTP0) m1 = i;
+  }
+  ASSERT_GE(s3, 0);
+  ASSERT_GE(m1, 0);
+  t.sched.temp_buffer.id[m1] = t.sched.temp_buffer.id[s3];
+  ASSERT_STREQ(t.steps[14].note, "P5");  // M7 = S3 . T3, last of the run
+  const VerifyResult r = verify_schedule(t.sched);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(any_error_contains(r.errors, "same forked run"))
+      << joined(r.errors);
+  const CoreResult c = verify_core(t.sched);
+  EXPECT_EQ(c.violation, Violation::kForkConflict);
+  EXPECT_EQ(c.step, 14);
+  EXPECT_EQ(c.operand, Op::kTS2);
 }
 
 }  // namespace
@@ -508,19 +538,6 @@ void expect_family_exact(int tm, int tk, int tn, int depth,
                              depth, arena);
     for (std::size_t i = 0; i < C.size(); ++i)
       ASSERT_EQ(C[i], Cref[i]) << "inplace differs at " << i;
-  }
-  {
-    // Accumulating top level: C starts at X and must end at X + A.B.
-    std::vector<double> C(Cref.size());
-    rng.fill_int(C, -3, 3);
-    std::vector<double> want = Cref;
-    for (std::size_t i = 0; i < want.size(); ++i) want[i] += C[i];
-    Arena arena(winograd_accum_workspace_bytes(
-        tm, tk, tn, depth, sizeof(double), ScheduleFamily::kLowMem));
-    winograd_recurse_acc(mm, C.data(), Am.data(), Bm.data(), tm, tk, tn,
-                         depth, arena, ScheduleFamily::kLowMem);
-    for (std::size_t i = 0; i < C.size(); ++i)
-      ASSERT_EQ(C[i], want[i]) << "accum differs at " << i;
   }
 }
 

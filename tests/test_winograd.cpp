@@ -13,6 +13,7 @@
 #include "common/arena.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "core/morton_matrix.hpp"
 #include "core/winograd.hpp"
 #include "core/workspace.hpp"
 #include "layout/convert.hpp"
@@ -122,6 +123,92 @@ TEST(WinogradRecurse, PaddedProblemMatchesLogicalProduct) {
       }
     }
   }
+}
+
+// ---- the in-place rung: winograd_recurse_inplace --------------------------
+//
+// The in-place family's top level runs analysis::kWinogradInPlace over the
+// caller's Morton operand copies, overwriting them with the operand sums;
+// its children run the low-memory table.
+
+// Runs winograd_recurse_inplace on Morton copies of A and B (planned like
+// modgemm plans an n x n x n product) into C; A and B are destroyed.
+void run_inplace(const MortonProductPlan& plan, MortonMatrix& A,
+                 MortonMatrix& B, MortonMatrix& C) {
+  const int tm = plan.a.tile_rows, tk = plan.a.tile_cols,
+            tn = plan.b.tile_cols;
+  Arena arena(winograd_workspace_bytes(tm, tk, tn, plan.depth, sizeof(double),
+                                       analysis::ScheduleFamily::kInPlace));
+  RawMem mm;
+  winograd_recurse_inplace(mm, C.data(), A.data(), B.data(), tm, tk, tn,
+                           plan.depth, arena);
+  EXPECT_EQ(arena.used(), 0u);
+}
+
+// Integer n x n operands and their exact product.
+struct InplaceInputs {
+  MortonProductPlan plan;
+  Matrix<double> A, B, Ref;
+  InplaceInputs(int n, std::uint64_t seed)
+      : plan(plan_morton_product(n, n, n)), A(n, n), B(n, n), Ref(n, n) {
+    Rng rng(seed);
+    rng.fill_int(A.storage(), -2, 2);
+    rng.fill_int(B.storage(), -2, 2);
+    blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                     B.data(), n, 0.0, Ref.data(), n);
+  }
+};
+
+class InplaceSizes : public ::testing::TestWithParam<int> {};
+
+TEST_P(InplaceSizes, ExactOnIntegers) {
+  const int n = GetParam();
+  InplaceInputs s(n, static_cast<std::uint64_t>(n));
+  MortonMatrix Am = MortonMatrix::from_colmajor(s.plan.a, s.A.view());
+  MortonMatrix Bm = MortonMatrix::from_colmajor(s.plan.b, s.B.view());
+  MortonMatrix Cm(s.plan.c);
+  run_inplace(s.plan, Am, Bm, Cm);
+  Matrix<double> C(n, n);
+  Cm.to_colmajor(C.view());
+  EXPECT_EQ(max_abs_diff<double>(C.view(), s.Ref.view()), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, InplaceSizes,
+                         ::testing::Values(100, 150, 256, 257, 300, 513));
+
+TEST(Inplace, DestroysItsOperands) {
+  const int n = 200;
+  InplaceInputs s(n, 7);
+  MortonMatrix Am = MortonMatrix::from_colmajor(s.plan.a, s.A.view());
+  MortonMatrix Bm = MortonMatrix::from_colmajor(s.plan.b, s.B.view());
+  MortonMatrix Cm(s.plan.c);
+  run_inplace(s.plan, Am, Bm, Cm);
+  // The top level's operand sums now sit in A's and B's quadrant slots.
+  Matrix<double> Aout(n, n), Bout(n, n), C(n, n);
+  Am.to_colmajor(Aout.view());
+  Bm.to_colmajor(Bout.view());
+  Cm.to_colmajor(C.view());
+  EXPECT_GT(max_abs_diff<double>(Aout.view(), s.A.view()), 0.0);
+  EXPECT_GT(max_abs_diff<double>(Bout.view(), s.B.view()), 0.0);
+  EXPECT_EQ(max_abs_diff<double>(C.view(), s.Ref.view()), 0.0);
+}
+
+TEST(Inplace, DepthZeroLeafStillWorks) {
+  // A single-tile layout (depth 0): reduces to the leaf kernel.
+  const layout::MortonLayout l{40, 40, 40, 40, 0};
+  const MortonProductPlan plan{l, l, l, 0};
+  Rng rng(11);
+  Matrix<double> A(40, 40), B(40, 40), Ref(40, 40), C(40, 40);
+  rng.fill_int(A.storage());
+  rng.fill_int(B.storage());
+  blas::naive_gemm(Op::NoTrans, Op::NoTrans, 40, 40, 40, 1.0, A.data(), 40,
+                   B.data(), 40, 0.0, Ref.data(), 40);
+  MortonMatrix Am = MortonMatrix::from_colmajor(l, A.view());
+  MortonMatrix Bm = MortonMatrix::from_colmajor(l, B.view());
+  MortonMatrix Cm(l);
+  run_inplace(plan, Am, Bm, Cm);
+  Cm.to_colmajor(C.view());
+  EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
 }
 
 }  // namespace

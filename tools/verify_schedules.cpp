@@ -24,7 +24,7 @@ int main() {
     if (temp_buffer_count(sched) < sched.temp_count)
       attrs += " shared-buffers=" + std::to_string(temp_buffer_count(sched));
     if (sched.overwrites_inputs) attrs += " overwrites-inputs";
-    if (sched.accumulates_c) attrs += " accumulates-c";
+    if (sched.forks_products) attrs += " forks-products";
     std::printf("schedule %-20s steps=%2d products=%d additions=%2d "
                 "temp-peak=%d (declared %d)%s  %s\n",
                 sched.name, sched.step_count, r.products, r.linear_ops,
